@@ -33,7 +33,7 @@ from .dgp import (
     model_autocovariances,
 )
 from .errors import DegenerateVarianceError, InputDataError, NotPsdError, NumericalError
-from .gaussian import PsdFactor, factorize_psd, gaussian_max_quantile, sample_correlated_normals
+from .gaussian import PsdFactor, factorize_psd, gaussian_max_quantile
 from .hac import (
     TARGET_ARCOEF,
     TARGET_AUTOCORR,
@@ -55,7 +55,7 @@ from .harness import (
     true_autocovariances,
     variance_study,
 )
-from .kernels import BandwidthRule, KernelSpec, kernel_eval, kernel_gram, select_bandwidth
+from .kernels import BandwidthRule, kernel_eval, kernel_gram, select_bandwidth
 from .quantiles import ecdf_pvalue, ecdf_quantile
 from .rng import RngStream, derive_seed
 from .series import (
@@ -89,7 +89,6 @@ __all__ = [
     "InferenceReport",
     "InnovationKind",
     "InputDataError",
-    "KernelSpec",
     "LongRunCov",
     "NotPsdError",
     "NumericalError",
@@ -136,7 +135,6 @@ __all__ = [
     "run_plugin",
     "sample_autocorr",
     "sample_autocov",
-    "sample_correlated_normals",
     "second_order_residuals",
     "select_bandwidth",
     "stabilize_ar",

@@ -36,7 +36,7 @@ from .hac import (
     hac_autocorr_cov,
     hac_autocov_cov,
 )
-from .kernels import BandwidthRule, KernelSpec, kernel_gram, select_bandwidth
+from .kernels import BandwidthRule, kernel_gram, select_bandwidth
 from .quantiles import ecdf_pvalue, ecdf_quantile
 from .rng import RngStream
 from .series import (
@@ -68,7 +68,6 @@ class BootstrapConfig:
     p: int
     H: tuple[int, ...]
     I: tuple[int, ...]
-    kernel: KernelSpec = KernelSpec()
     bandwidth: BandwidthRule = field(default_factory=BandwidthRule.auto)
     B: int = 2000
     alpha: float = 0.05
@@ -263,15 +262,9 @@ def _pinv_yule_walker(sigma: np.ndarray, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _builtin_multiplier_factor(kind: str, T: int, k_T: float) -> PsdFactor:
-    return factorize_psd(kernel_gram(KernelSpec(kind=kind), T, k_T))
-
-
-def multiplier_factor(kernel: KernelSpec, T: int, k_T: float) -> PsdFactor:
-    """Factor of the multiplier covariance K((s - t)/k_T), cached for built-ins."""
-    if kernel.func is None:
-        return _builtin_multiplier_factor(kernel.kind, T, float(k_T))
-    return factorize_psd(kernel_gram(kernel, T, k_T))
+def multiplier_factor(T: int, k_T: float) -> PsdFactor:
+    """Factor of the multiplier covariance K((s - t)/k_T), cached."""
+    return factorize_psd(kernel_gram(T, k_T))
 
 
 def run_bootstrap(
@@ -300,7 +293,7 @@ def run_bootstrap(
     est = estimate_second_order(v, config.d, config.p, config.H, config.I)
     residuals = second_order_residuals(v, est, config.d)
     k_T = select_bandwidth(v, config.bandwidth)
-    factor = multiplier_factor(config.kernel, T, k_T) if multiplier_override is None else None
+    factor = multiplier_factor(T, k_T) if multiplier_override is None else None
 
     B = config.B
     sqrt_T = np.sqrt(T)
@@ -392,7 +385,7 @@ def _provenance(config: BootstrapConfig, k_T: float, degenerate: int, est: Secon
         "p": config.p,
         "H": list(config.H),
         "I": list(config.I),
-        "kernel": config.kernel.kind,
+        "kernel": "gaussian",
         "bandwidth": {
             "variant": config.bandwidth.variant,
             "k_T": config.bandwidth.k_T,
@@ -427,9 +420,9 @@ def run_plugin(
     est = estimate_second_order(v, config.d, config.p, config.H, config.I)
     k_T = select_bandwidth(v, config.bandwidth)
     covs = {
-        TARGET_AUTOCOV: hac_autocov_cov(v, est, config.H, config.kernel, k_T, window_cutoff),
-        TARGET_AUTOCORR: hac_autocorr_cov(v, est, config.I, config.kernel, k_T, window_cutoff),
-        TARGET_ARCOEF: hac_arcoef_cov(v, est, config.p, config.kernel, k_T, window_cutoff),
+        TARGET_AUTOCOV: hac_autocov_cov(v, est, config.H, k_T, window_cutoff),
+        TARGET_AUTOCORR: hac_autocorr_cov(v, est, config.I, k_T, window_cutoff),
+        TARGET_ARCOEF: hac_arcoef_cov(v, est, config.p, k_T, window_cutoff),
     }
     radii = {}
     for index, (target, cov) in enumerate(sorted(covs.items())):

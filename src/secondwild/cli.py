@@ -45,7 +45,7 @@ from .harness import (
     gaussian_approx_check,
     variance_study,
 )
-from .kernels import BandwidthRule, KernelSpec
+from .kernels import BandwidthRule
 from .rng import RngStream
 from .series import TimeSeries
 
@@ -171,7 +171,6 @@ def _bootstrap_config(opts: dict) -> BootstrapConfig:
         p=opts["p"] if opts["p"] is not None else 1,
         H=parse_index_set(opts["H"]),
         I=parse_index_set(opts["I"]),
-        kernel=KernelSpec(kind=opts["kernel"]),
         bandwidth=bandwidth,
         B=opts["B"],
         alpha=opts["alpha"],
@@ -237,6 +236,32 @@ def cmd_analyze(opts: dict, execution: dict) -> None:
     _finish(manifest, out_dir, started)
 
 
+def _read_null(opts: dict) -> Optional[dict]:
+    """Keyword arguments of :func:`hypothesis_tests` read from ``--null``.
+
+    Returns None for ``--null-zero``, whose zero vectors need the report's
+    lag sets.  Called before the bootstrap, so bad input fails fast.
+    """
+    if opts["null_zero"] and opts["null"]:
+        raise InputDataError("--null and --null-zero are mutually exclusive")
+    if opts["null_zero"]:
+        return None
+    if opts["null"] is None:
+        raise InputDataError("provide --null FILE or --null-zero")
+    try:
+        null_spec = json.loads(Path(opts["null"]).read_text())
+    except OSError as exc:
+        raise InputDataError(f"cannot read {opts['null']}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputDataError(f"{opts['null']}: invalid JSON: {exc}") from exc
+    if not isinstance(null_spec, dict):
+        raise InputDataError(f"{opts['null']}: expected a JSON object with 'sigma', 'rho' or 'a'")
+    null = {"sigma_e": null_spec.get("sigma"), "rho_e": null_spec.get("rho"), "a_e": null_spec.get("a")}
+    if all(v is None for v in null.values()):
+        raise InputDataError(f"{opts['null']}: provide at least one of 'sigma', 'rho', 'a'")
+    return null
+
+
 def cmd_test(opts: dict, execution: dict) -> None:
     started = time.perf_counter()
     out_dir = Path(execution["out"])
@@ -244,29 +269,12 @@ def cmd_test(opts: dict, execution: dict) -> None:
     manifest = _manifest("test", opts, execution)
     if opts["band_method"] == "plugin":
         raise InputDataError("hypothesis tests require the bootstrap band method")
+    null = _read_null(opts)
     report, draws = _analyze_report(opts, threads)
-    est = report.estimates
-    if opts["null_zero"] and opts["null"]:
-        raise InputDataError("--null and --null-zero are mutually exclusive")
-    if opts["null_zero"]:
-        sigma_e = np.zeros(len(est.H))
-        rho_e = np.zeros(len(est.I))
-        a_e = None
-    elif opts["null"] is None:
-        raise InputDataError("provide --null FILE or --null-zero")
-    else:
-        try:
-            null_spec = json.loads(Path(opts["null"]).read_text())
-        except OSError as exc:
-            raise InputDataError(f"cannot read {opts['null']}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputDataError(f"{opts['null']}: invalid JSON: {exc}") from exc
-        sigma_e = null_spec.get("sigma")
-        rho_e = null_spec.get("rho")
-        a_e = null_spec.get("a")
-        if sigma_e is None and rho_e is None and a_e is None:
-            raise InputDataError(f"{opts['null']}: provide at least one of 'sigma', 'rho', 'a'")
-    hypothesis_tests(report, draws, sigma_e=sigma_e, rho_e=rho_e, a_e=a_e)
+    if null is None:
+        est = report.estimates
+        null = {"sigma_e": np.zeros(len(est.H)), "rho_e": np.zeros(len(est.I))}
+    hypothesis_tests(report, draws, **null)
     payload = {"manifest": manifest.reproducible(), "report": report.to_dict()}
     _write_json(out_dir / "decisions.json", payload)
     sys.stdout.write(_format_report_table(report))
@@ -412,7 +420,6 @@ def _add_analyze_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--I", default=TABLE_DEFAULT_I, help="autocorrelation lags, e.g. 1-4 (default)")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--B", type=int, default=2000, help="bootstrap replicates (default 2000)")
-    p.add_argument("--kernel", default="gaussian", choices=["gaussian"])
     p.add_argument("--kt", type=float, default=None, help="fixed bandwidth; omit for the automatic rule")
     p.add_argument("--kt-c", dest="kt_c", type=float, default=2.0, help="threshold constant of the automatic rule")
     p.add_argument("--center", action=argparse.BooleanOptionalAction, default=True,
@@ -422,7 +429,7 @@ def _add_analyze_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-_ANALYZE_KEYS = ("input", "d", "p", "H", "I", "alpha", "B", "kernel", "kt", "kt_c",
+_ANALYZE_KEYS = ("input", "d", "p", "H", "I", "alpha", "B", "kt", "kt_c",
                  "center", "band_method", "n_mc", "seed")
 
 
@@ -542,6 +549,12 @@ def _run_replay(manifest_path: str, out_override: Optional[str]) -> None:
     if out_override is not None:
         execution["out"] = out_override
     options = dict(payload["options"])
+    # Manifests of earlier versions carry a "kernel" option whose only
+    # value was "gaussian"; it stays in the options so replayed result
+    # files embed the same manifest bytes.
+    kernel = options.get("kernel", "gaussian")
+    if kernel != "gaussian":
+        raise InputDataError(f"{manifest_path}: kernel {kernel!r} is not supported (only gaussian)")
     if "scenario" in options and options["scenario"] is not None:
         options["scenario"] = list(options["scenario"])
     _dispatch(payload["subcommand"], options, execution)

@@ -21,7 +21,7 @@ truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -94,9 +94,6 @@ class DgpSpec:
             raise ValueError(f"ar1 requires |rho| < 1, got {self.rho}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-
-    def with_stream(self, seed: int, stream_index: int = 0) -> "DgpSpec":
-        return replace(self, seed=seed, stream_index=stream_index)
 
 
 def gen_innovations(kind, n: int, stream: RngStream) -> np.ndarray:

@@ -64,12 +64,6 @@ def factorize_psd(M) -> PsdFactor:
     )
 
 
-def sample_correlated_normals(factor: PsdFactor, stream: RngStream) -> np.ndarray:
-    """One draw of L z with z i.i.d. standard normal from the given stream."""
-    z = stream.generator().standard_normal(factor.dim)
-    return factor.L @ z
-
-
 def max_abs_normal_sample(cov, n: int, stream: RngStream) -> np.ndarray:
     """``n`` independent draws of max_j |xi_j| for xi ~ N(0, cov)."""
     factor = cov if isinstance(cov, PsdFactor) else factorize_psd(cov)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .kernels import KernelSpec, kernel_eval, kernel_window
+from .kernels import kernel_eval, kernel_window
 from .series import (
     SecondOrderEstimates,
     _values,
@@ -42,15 +42,15 @@ class LongRunCov:
     k_T: float
 
 
-def _weighted_quadratic(rows: np.ndarray, spec: KernelSpec, k_T: float, cutoff: float) -> np.ndarray:
+def _weighted_quadratic(rows: np.ndarray, k_T: float, cutoff: float) -> np.ndarray:
     """Kernel-weighted cross sums of zero-padded rows, divided by T.
 
     Rows must already be zero outside their defined range; the padding makes
     the truncated summation limits implicit.
     """
     n, T = rows.shape
-    m_max = kernel_window(spec, k_T, cutoff=cutoff, limit=T - 1)
-    w = np.atleast_1d(kernel_eval(spec, np.arange(m_max + 1) / k_T))
+    m_max = kernel_window(k_T, cutoff=cutoff, limit=T - 1)
+    w = np.atleast_1d(kernel_eval(np.arange(m_max + 1) / k_T))
     out = np.empty((n, n))
     for a in range(n):
         r1 = rows[a]
@@ -67,7 +67,6 @@ def hac_autocov_cov(
     x,
     est: SecondOrderEstimates,
     H,
-    spec: KernelSpec,
     k_T: float,
     window_cutoff: float = 1e-12,
 ) -> LongRunCov:
@@ -75,7 +74,7 @@ def hac_autocov_cov(
     v = _values(x)
     H = normalize_lag_set(H, est.d, 0, "H")
     rows = second_order_residual_matrix(v, est.sigma_hat, est.d)[list(H)]
-    matrix = _weighted_quadratic(rows, spec, k_T, window_cutoff)
+    matrix = _weighted_quadratic(rows, k_T, window_cutoff)
     return LongRunCov(matrix=matrix, target=TARGET_AUTOCOV, labels=H, k_T=float(k_T))
 
 
@@ -83,7 +82,6 @@ def hac_autocorr_cov(
     x,
     est: SecondOrderEstimates,
     I,
-    spec: KernelSpec,
     k_T: float,
     window_cutoff: float = 1e-12,
 ) -> LongRunCov:
@@ -107,7 +105,7 @@ def hac_autocorr_cov(
         row = resid[j] / s0 - (est.sigma_hat[j] / (s0 * s0)) * resid[0]
         row[:j] = 0.0
         rows[idx] = row
-    matrix = _weighted_quadratic(rows, spec, k_T, window_cutoff)
+    matrix = _weighted_quadratic(rows, k_T, window_cutoff)
     return LongRunCov(matrix=matrix, target=TARGET_AUTOCORR, labels=I, k_T=float(k_T))
 
 
@@ -115,7 +113,6 @@ def hac_arcoef_cov(
     x,
     est: SecondOrderEstimates,
     p: int,
-    spec: KernelSpec,
     k_T: float,
     window_cutoff: float = 1e-12,
 ) -> LongRunCov:
@@ -137,5 +134,5 @@ def hac_arcoef_cov(
     rows = lin.B @ resid
     for j in range(1, p + 1):
         rows[j - 1, :j] = 0.0
-    matrix = _weighted_quadratic(rows, spec, k_T, window_cutoff)
+    matrix = _weighted_quadratic(rows, k_T, window_cutoff)
     return LongRunCov(matrix=matrix, target=TARGET_ARCOEF, labels=tuple(range(1, p + 1)), k_T=float(k_T))

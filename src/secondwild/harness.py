@@ -23,7 +23,7 @@ from .bootstrap import BootstrapConfig, _pinv_yule_walker, run_bootstrap
 from .dgp import MODELS, DgpSpec, InnovationKind, gen_series, model_autocovariances, parse_innovation
 from .gaussian import max_abs_normal_sample
 from .hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
-from .kernels import BandwidthRule, KernelSpec, select_bandwidth
+from .kernels import BandwidthRule, select_bandwidth
 from .quantiles import ecdf_quantile
 from .rng import RngStream, derive_seed
 from .series import ar_order_select_aic, autocov_vector, estimate_second_order
@@ -253,7 +253,6 @@ def coverage_study(
     methods=METHODS,
     burn_in: int = 1000,
     threads: int = 1,
-    kernel: KernelSpec = KernelSpec(),
 ) -> CoverageReport:
     """Empirical coverage of the wild-bootstrap and sieve bands.
 
@@ -335,7 +334,6 @@ def coverage_study(
                     p=p_r,
                     H=tuple(H_idx),
                     I=tuple(I_idx),
-                    kernel=kernel,
                     bandwidth=BandwidthRule.fixed(k_T),
                     B=B_rep,
                     alpha=alpha,
@@ -432,7 +430,6 @@ def gaussian_approx_check(
     H=(0, 1, 2, 3),
     n_oracle: int = 100_000,
     truth_length: int = 10**6,
-    kernel: KernelSpec = KernelSpec(),
 ) -> ApproxCheckReport:
     """Compare max_j sqrt(T)|sigma_hat_j - sigma_j| against its Gaussian limit.
 
@@ -453,7 +450,7 @@ def gaussian_approx_check(
     k_T = select_bandwidth(long_series, BandwidthRule.auto())
     d_est = max(d, 1)
     est_long = estimate_second_order(long_series, d_est, 1, H_idx, (1,))
-    cov = hac_autocov_cov(long_series, est_long, H_idx, kernel, k_T)
+    cov = hac_autocov_cov(long_series, est_long, H_idx, k_T)
     oracle = max_abs_normal_sample(cov.matrix, n_oracle, RngStream(derive_seed(stream.seed, (stream.stream_index, 1)), 0))
 
     roots = np.empty(reps)

@@ -1,17 +1,16 @@
-"""Covariance kernels, their Gram matrices, and bandwidth selection.
+"""The Gaussian covariance kernel, its Gram matrices, and bandwidth selection.
 
-A kernel here is a symmetric function K with K(0) = 1, nonincreasing on
-[0, inf) and with nonnegative Fourier transform, so that the Gram matrix
-{K((s - j)/k_T)} is positive semi-definite for every bandwidth k_T.  The
-Gaussian kernel exp(-x^2/2) is the built-in choice; custom evaluators are
-accepted and sanity-checked on a grid.
+The kernel is fixed to K(x) = exp(-x^2/2).  The bootstrap needs the Gram
+matrix {K((s - j)/k_T)} to be positive semi-definite at every bandwidth
+k_T, which holds exactly when K has a nonnegative Fourier transform; the
+Gaussian kernel does, and it is the only kernel the package offers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -19,55 +18,18 @@ import scipy.linalg
 from .series import _values, autocov_vector
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A kernel identified by name, or a custom evaluator.
-
-    Custom evaluators must map reals into [0, 1]; they are checked on a
-    grid for K(0) = 1, symmetry, and monotone decay at construction.
-    """
-
-    kind: str = "gaussian"
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.func is None:
-            if self.kind != "gaussian":
-                raise ValueError(f"unknown kernel kind {self.kind!r} (built-in: gaussian)")
-        else:
-            _check_kernel_on_grid(self.func, self.kind)
-
-
-def _check_kernel_on_grid(func, kind):
-    grid = np.linspace(0.0, 10.0, 201)
-    vals = np.asarray([float(func(np.asarray(t))) for t in grid])
-    neg = np.asarray([float(func(np.asarray(-t))) for t in grid])
-    if abs(vals[0] - 1.0) > 1e-10:
-        raise ValueError(f"kernel {kind!r} must satisfy K(0) = 1, got {vals[0]}")
-    if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-        raise ValueError(f"kernel {kind!r} must map into [0, 1]")
-    if np.max(np.abs(vals - neg)) > 1e-10:
-        raise ValueError(f"kernel {kind!r} must be symmetric")
-    if np.any(np.diff(vals) > 1e-12):
-        raise ValueError(f"kernel {kind!r} must be nonincreasing on [0, inf)")
-
-
-def kernel_eval(spec: KernelSpec, x):
-    """Evaluate the kernel at ``x`` (scalar or array)."""
+def kernel_eval(x):
+    """Evaluate the Gaussian kernel exp(-x^2/2) at ``x`` (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    if spec.func is not None:
-        out = spec.func(np.abs(x))
-    else:
-        out = np.exp(-0.5 * x * x)
-    return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+    out = np.exp(-0.5 * x * x)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def kernel_window(spec: KernelSpec, k_T: float, cutoff: float = 1e-12, limit: int | None = None) -> int:
-    """Largest integer offset m with K(m / k_T) >= cutoff.
+def kernel_window(k_T: float, cutoff: float = 1e-12, limit: int | None = None) -> int:
+    """Largest integer offset m with K(m / k_T) >= cutoff, capped at ``limit``.
 
-    The kernel is nonincreasing away from zero, so scanning outward and
-    stopping at the first value below the cutoff is exact.  ``limit`` caps
-    the scan (typically T - 1).
+    For the Gaussian kernel this is floor(k_T * sqrt(-2 ln cutoff)).
+    ``limit`` is typically T - 1.
     """
     if k_T <= 0:
         raise ValueError(f"bandwidth must be positive, got {k_T}")
@@ -75,21 +37,17 @@ def kernel_window(spec: KernelSpec, k_T: float, cutoff: float = 1e-12, limit: in
         if limit is None:
             raise ValueError("cutoff 0 requires an explicit limit")
         return limit
-    m = 0
-    while limit is None or m < limit:
-        if kernel_eval(spec, (m + 1) / k_T) < cutoff:
-            return m
-        m += 1
-    return m
+    m = math.floor(k_T * math.sqrt(-2.0 * math.log(min(cutoff, 1.0))))
+    return m if limit is None else min(m, limit)
 
 
-def kernel_gram(spec: KernelSpec, T: int, k_T: float) -> np.ndarray:
+def kernel_gram(T: int, k_T: float) -> np.ndarray:
     """Symmetric Toeplitz matrix with entries K((s - j) / k_T), s, j = 1..T."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if k_T <= 0:
         raise ValueError(f"bandwidth must be positive, got {k_T}")
-    first_row = kernel_eval(spec, np.arange(T) / k_T)
+    first_row = kernel_eval(np.arange(T) / k_T)
     return scipy.linalg.toeplitz(np.atleast_1d(first_row))
 
 

@@ -37,10 +37,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         return np.random.default_rng(seq)
 
-    def substream(self, index: int) -> "RngStream":
-        """Stream whose index is derived from this one (for nested fan-out)."""
-        return RngStream(derive_seed(self.seed, (self.stream_index, index)), 0)
-
 
 def derive_seed(seed: int, key: tuple[int, ...]) -> int:
     """Derive an independent 64-bit seed from a master seed and an integer key.

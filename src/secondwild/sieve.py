@@ -16,7 +16,6 @@ uncorrelated innovations its AR-coefficient bands come out too narrow.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,6 @@ from .series import (
     normalize_lag_set,
     yule_walker_fit,
 )
-
-_CHUNK = 64
 
 # Roots of the fitted polynomial must stay outside the unit circle by this
 # margin; offenders are shrunk toward zero before simulation.
@@ -119,7 +116,6 @@ def ar_sieve_bootstrap(
     H,
     I,
     cfg: SieveConfig,
-    threads: int = 1,
 ) -> tuple[InferenceReport, BootstrapDraws]:
     """Simultaneous bands for sigma, rho, and the order-p AR coefficients.
 
@@ -158,10 +154,10 @@ def ar_sieve_bootstrap(
     delta_rho = np.empty(B)
     delta_a = np.empty(B)
 
-    def _one(b: int) -> None:
+    for b in range(1, B + 1):
         g = RngStream(cfg.seed, b).generator()
-        draws = pool[g.integers(0, pool.size, size=n_gen)]
-        xs = scipy.signal.lfilter([1.0], denom, draws)[cfg.burn_in :] if coef.size else draws[cfg.burn_in :]
+        resampled = pool[g.integers(0, pool.size, size=n_gen)]
+        xs = scipy.signal.lfilter([1.0], denom, resampled)[cfg.burn_in :] if coef.size else resampled[cfg.burn_in :]
         sigma_star = autocov_vector(xs, d)
         rho_star = sigma_star / sigma_star[0] if sigma_star[0] != 0.0 else np.zeros(d + 1)
         a_star = _pinv_yule_walker(sigma_star, p)
@@ -169,18 +165,6 @@ def ar_sieve_bootstrap(
         delta_sigma[i] = sqrt_T * np.abs(sigma_star[H_idx] - sigma_model[H_idx]).max()
         delta_rho[i] = sqrt_T * np.abs(rho_star[I_idx] - rho_model[I_idx]).max()
         delta_a[i] = sqrt_T * np.abs(a_star - a_model).max()
-
-    def _run_chunk(start: int) -> None:
-        for b in range(start + 1, min(start + _CHUNK, B) + 1):
-            _one(b)
-
-    starts = range(0, B, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            list(pool_exec.map(_run_chunk, starts))
-    else:
-        for start in starts:
-            _run_chunk(start)
 
     draws = BootstrapDraws(delta_sigma=delta_sigma, delta_rho=delta_rho, delta_a=delta_a)
     level = 1.0 - cfg.alpha

@@ -41,11 +41,9 @@ from secondwild.hac import (
     hac_autocov_cov,
 )
 from secondwild.harness import VarianceStudyReport, gaussian_approx_check
-from secondwild.kernels import BandwidthRule, KernelSpec, select_bandwidth
+from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
 from secondwild.series import estimate_second_order, linearization_matrix
-
-KERNEL = KernelSpec()
 
 VARIANCE_TARGETS = {
     "independent": (0.52, 20.74),
@@ -140,8 +138,8 @@ def test_criterion_4_conditional_covariance_identity():
         est = estimate_second_order(x, 3, 1, H, (1,))
         resid = second_order_residuals(x, est, 3)
         k_T = select_bandwidth(x, BandwidthRule.auto())
-        factor = multiplier_factor(KERNEL, T, k_T)
-        hac = hac_autocov_cov(x, est, H, KERNEL, k_T).matrix
+        factor = multiplier_factor(T, k_T)
+        hac = hac_autocov_cov(x, est, H, k_T).matrix
         seed = derive_seed(1405, (s,))
         acc = np.zeros((4, 4))
         chunk = 512
@@ -187,11 +185,11 @@ def test_criterion_5_brute_force_hac_equivalence():
         I = (1, 2)
         lin = linearization_matrix(est.sigma_hat[:3], 2)
         pairs = (
-            (hac_autocov_cov(x, est, H, KERNEL, k_T).matrix,
+            (hac_autocov_cov(x, est, H, k_T).matrix,
              brute_kernel_double_sum(brute_residual_rows(x, est.sigma_hat, H), gaussian_K, k_T)),
-            (hac_autocorr_cov(x, est, I, KERNEL, k_T).matrix,
+            (hac_autocorr_cov(x, est, I, k_T).matrix,
              brute_kernel_double_sum(brute_autocorr_rows(x, est.sigma_hat, I), gaussian_K, k_T)),
-            (hac_arcoef_cov(x, est, 2, KERNEL, k_T).matrix,
+            (hac_arcoef_cov(x, est, 2, k_T).matrix,
              brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin.B, 2), gaussian_K, k_T)),
         )
         for got, want in pairs:

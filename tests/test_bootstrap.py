@@ -15,7 +15,7 @@ from secondwild.bootstrap import (
 )
 from secondwild.errors import DegenerateVarianceError, NumericalError
 from secondwild.hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
-from secondwild.kernels import BandwidthRule, KernelSpec, select_bandwidth
+from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
 from secondwild.series import SecondOrderEstimates, estimate_second_order
 
@@ -173,14 +173,14 @@ class TestRunBootstrap:
         est = estimate_second_order(x, 3, 1, (0, 1, 2, 3), (1,))
         table = second_order_residuals(x, est, 3)
         k_T = select_bandwidth(x, BandwidthRule.auto())
-        fac = multiplier_factor(KernelSpec(), T, k_T)
+        fac = multiplier_factor(T, k_T)
         acc = np.zeros((4, 4))
         for b in range(1, B + 1):
             eps = fac.L @ RngStream(77, b).generator().standard_normal(T)
             delta = table.rows @ eps / T
             acc += np.outer(delta, delta)
         emp = acc * T / B
-        hac = hac_autocov_cov(x, est, (0, 1, 2, 3), KernelSpec(), k_T).matrix
+        hac = hac_autocov_cov(x, est, (0, 1, 2, 3), k_T).matrix
         denom = np.sqrt(np.outer(np.diag(hac), np.diag(hac)))
         assert np.abs(emp - hac).max() / denom.max() <= 0.1
 

@@ -106,6 +106,30 @@ class TestAnalyze:
         assert _run(["--replay", out / "manifest.json", "--out", replay_out]) == 0
         assert (out / "report.json").read_bytes() == (replay_out / "report.json").read_bytes()
 
+    def test_replay_of_manifest_with_gaussian_kernel_option(self, series_file, tmp_path):
+        # earlier versions recorded a "kernel" option (only ever "gaussian")
+        # in the manifest and in the manifest embedded in report.json
+        out = tmp_path / "orig"
+        assert _run(["analyze", series_file, "--B", "150", "--seed", "8", "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["options"]["kernel"] = "gaussian"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        expected = json.loads((out / "report.json").read_text())
+        expected["manifest"]["options"]["kernel"] = "gaussian"
+        replay_out = tmp_path / "replayed"
+        assert _run(["--replay", out / "manifest.json", "--out", replay_out]) == 0
+        assert (replay_out / "report.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_replay_of_other_kernel_exit_2(self, series_file, tmp_path, capsys):
+        out = tmp_path / "orig"
+        assert _run(["analyze", series_file, "--B", "150", "--seed", "8", "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["options"]["kernel"] = "box"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert _run(["--replay", out / "manifest.json", "--out", tmp_path / "replayed"]) == 2
+        assert "box" in capsys.readouterr().err
+        assert not (tmp_path / "replayed" / "report.json").exists()
+
 
 class TestTest:
     def test_null_zero_on_distant_null_rejects(self, tmp_path):
@@ -136,8 +160,24 @@ class TestTest:
         assert payload["report"]["tests"]["autocovariance"]["reject"] is False
         assert payload["report"]["tests"]["ar_coefficients"]["reject"] is False
 
-    def test_requires_null_spec(self, series_file, tmp_path):
-        assert _run(["test", series_file, "--out", tmp_path]) == 2
+    def test_requires_null_spec(self, series_file, tmp_path, monkeypatch):
+        # a bad null fails before the bootstrap runs
+        def _no_bootstrap(*args, **kwargs):
+            raise AssertionError("the bootstrap ran before the null was checked")
+
+        monkeypatch.setattr("secondwild.cli.run_bootstrap", _no_bootstrap)
+        empty = tmp_path / "empty.json"
+        empty.write_text("")
+        no_keys = tmp_path / "no_keys.json"
+        no_keys.write_text("{}")
+        not_object = tmp_path / "list.json"
+        not_object.write_text("[0.0]")
+        null_file = tmp_path / "null.json"
+        null_file.write_text(json.dumps({"rho": [0.0] * 4}))
+        base = ["test", series_file, "--B", "100", "--out", tmp_path]
+        for extra in ([], ["--null-zero", "--null", null_file], ["--null", tmp_path / "missing.json"],
+                      ["--null", empty], ["--null", no_keys], ["--null", not_object]):
+            assert _run(base + extra) == 2, extra
 
     def test_dimension_mismatch_exit_2(self, series_file, tmp_path):
         null_file = tmp_path / "null.json"

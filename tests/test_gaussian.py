@@ -8,9 +8,8 @@ from secondwild.gaussian import (
     factorize_psd,
     gaussian_max_quantile,
     max_abs_normal_sample,
-    sample_correlated_normals,
 )
-from secondwild.kernels import KernelSpec, kernel_eval, kernel_gram
+from secondwild.kernels import kernel_eval, kernel_gram
 from secondwild.rng import RngStream
 
 
@@ -54,24 +53,23 @@ class TestSampleCorrelatedNormals:
     def test_reproducible_and_unit_variance(self):
         f = factorize_psd(np.eye(1))
         stream = RngStream(7, 3)
-        draws = np.array([sample_correlated_normals(f, RngStream(7, i))[0] for i in range(100_000)])
-        again = sample_correlated_normals(f, stream)
-        assert again == sample_correlated_normals(f, stream)  # pure function of the stream
+        draws = np.array([(f.L @ RngStream(7, i).generator().standard_normal(f.dim))[0] for i in range(100_000)])
+        again = f.L @ stream.generator().standard_normal(f.dim)
+        assert again == f.L @ stream.generator().standard_normal(f.dim)  # pure function of the stream
         assert draws.var() == pytest.approx(1.0, abs=0.02)
 
     def test_neighbour_correlation_matches_kernel(self):
-        spec = KernelSpec()
         k_T = 3.0
-        f = factorize_psd(kernel_gram(spec, 2, k_T))
+        f = factorize_psd(kernel_gram(2, k_T))
         pairs = np.empty((100_000, 2))
         for i in range(pairs.shape[0]):
-            pairs[i] = sample_correlated_normals(f, RngStream(11, i))
+            pairs[i] = f.L @ RngStream(11, i).generator().standard_normal(f.dim)
         corr = np.corrcoef(pairs.T)[0, 1]
-        assert corr == pytest.approx(kernel_eval(spec, 1.0 / k_T), abs=0.01)
+        assert corr == pytest.approx(kernel_eval(1.0 / k_T), abs=0.01)
 
     def test_zero_factor_gives_zero_vector(self):
         f = factorize_psd(np.zeros((5, 5)))
-        assert np.all(sample_correlated_normals(f, RngStream(1, 2)) == 0.0)
+        assert np.all(f.L @ RngStream(1, 2).generator().standard_normal(f.dim) == 0.0)
 
 
 class TestGaussianMaxQuantile:

@@ -10,7 +10,7 @@ from conftest import (
 )
 from secondwild.errors import DegenerateVarianceError
 from secondwild.hac import hac_arcoef_cov, hac_autocorr_cov, hac_autocov_cov
-from secondwild.kernels import BandwidthRule, KernelSpec, select_bandwidth
+from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
 from secondwild.series import (
     SecondOrderEstimates,
@@ -18,8 +18,6 @@ from secondwild.series import (
     estimate_second_order,
     linearization_matrix,
 )
-
-KERNEL = KernelSpec()
 
 
 def _zero_estimates(T, d, p=1):
@@ -50,13 +48,13 @@ def _random_instance(seed, T_max=60):
 class TestAutocovCov:
     def test_zero_series(self):
         est = _zero_estimates(20, 3)
-        cov = hac_autocov_cov(np.zeros(20), est, (0, 1, 2), KERNEL, 2.0)
+        cov = hac_autocov_cov(np.zeros(20), est, (0, 1, 2), 2.0)
         assert np.all(cov.matrix == 0.0)
 
     def test_small_instance_matches_brute_force(self):
         x = np.array([1.0, -1.0, 2.0])
         est = estimate_second_order(x, 1, 1)
-        cov = hac_autocov_cov(x, est, (0,), KERNEL, 1.0)
+        cov = hac_autocov_cov(x, est, (0,), 1.0)
         rows = brute_residual_rows(x, est.sigma_hat, [0])
         brute = brute_kernel_double_sum(rows, gaussian_K, 1.0)
         assert cov.matrix == pytest.approx(brute, rel=1e-12)
@@ -69,20 +67,20 @@ class TestAutocovCov:
             x = RngStream(derive_seed(53, (s,))).generator().standard_normal(20_000)
             est = estimate_second_order(x, 1, 1)
             k_T = select_bandwidth(x, BandwidthRule.auto())
-            vals.append(hac_autocov_cov(x, est, (0,), KERNEL, k_T).matrix[0, 0])
+            vals.append(hac_autocov_cov(x, est, (0,), k_T).matrix[0, 0])
         assert np.mean(vals) == pytest.approx(2.0, abs=0.3)
 
     def test_empty_lag_set_rejected(self):
         x = RngStream(1).generator().standard_normal(30)
         est = estimate_second_order(x, 3, 1)
         with pytest.raises(ValueError):
-            hac_autocov_cov(x, est, (), KERNEL, 1.0)
+            hac_autocov_cov(x, est, (), 1.0)
 
     def test_permutation_equivariance(self):
         x = RngStream(59).generator().standard_normal(40)
         est = estimate_second_order(x, 5, 1)
-        a = hac_autocov_cov(x, est, (0, 2, 5), KERNEL, 2.0)
-        b = hac_autocov_cov(x, est, (5, 0, 2), KERNEL, 2.0)
+        a = hac_autocov_cov(x, est, (0, 2, 5), 2.0)
+        b = hac_autocov_cov(x, est, (5, 0, 2), 2.0)
         assert a.labels == b.labels == (0, 2, 5)
         assert np.array_equal(a.matrix, b.matrix)
 
@@ -93,8 +91,8 @@ class TestAutocovCov:
             x = g.standard_normal(T)
             est = estimate_second_order(x, 4, 1)
             k_T = float(g.uniform(1.0, 20.0))
-            trunc = hac_autocov_cov(x, est, (0, 1, 4), KERNEL, k_T).matrix
-            full = hac_autocov_cov(x, est, (0, 1, 4), KERNEL, k_T, window_cutoff=0.0).matrix
+            trunc = hac_autocov_cov(x, est, (0, 1, 4), k_T).matrix
+            full = hac_autocov_cov(x, est, (0, 1, 4), k_T, window_cutoff=0.0).matrix
             assert np.abs(trunc - full).max() <= 1e-8
 
 
@@ -105,7 +103,7 @@ class TestAutocorrCov:
         # zero; the matrix entries are O((d/T)^2 * window), tiny but nonzero.
         x = np.full(25, 3.0)
         est = estimate_second_order(x, 2, 1)
-        cov = hac_autocorr_cov(x, est, (1, 2), KERNEL, 2.0)
+        cov = hac_autocorr_cov(x, est, (1, 2), 2.0)
         assert np.abs(cov.matrix).max() <= 0.05
         rows = brute_autocorr_rows(x, est.sigma_hat, [1, 2])
         for j, row in zip((1, 2), rows):
@@ -115,7 +113,7 @@ class TestAutocorrCov:
     def test_small_instance_matches_brute_force(self):
         x = np.array([0.5, -1.5, 2.0, 1.0])
         est = estimate_second_order(x, 2, 1)
-        cov = hac_autocorr_cov(x, est, (1, 2), KERNEL, 1.5)
+        cov = hac_autocorr_cov(x, est, (1, 2), 1.5)
         rows = brute_autocorr_rows(x, est.sigma_hat, [1, 2])
         brute = brute_kernel_double_sum(rows, gaussian_K, 1.5)
         assert cov.matrix == pytest.approx(brute, rel=1e-11)
@@ -124,26 +122,26 @@ class TestAutocorrCov:
         x = RngStream(67).generator().standard_normal(20_000)
         est = estimate_second_order(x, 1, 1)
         k_T = select_bandwidth(x, BandwidthRule.auto())
-        cov = hac_autocorr_cov(x, est, (1,), KERNEL, k_T)
+        cov = hac_autocorr_cov(x, est, (1,), k_T)
         assert cov.matrix[0, 0] == pytest.approx(1.0, abs=0.2)
 
     def test_degenerate_variance_rejected(self):
         est = estimate_second_order(np.array([1.0, 0.0, -1.0, 0.0]), 1, 1)
         object.__setattr__(est, "sigma_hat", np.array([0.0, 0.0]))
         with pytest.raises(DegenerateVarianceError):
-            hac_autocorr_cov(np.zeros(4), est, (1,), KERNEL, 1.0)
+            hac_autocorr_cov(np.zeros(4), est, (1,), 1.0)
 
 
 class TestArcoefCov:
     def test_zero_series(self):
         est = _zero_estimates(12, 2)
-        cov = hac_arcoef_cov(np.zeros(12), est, 1, KERNEL, 1.0)
+        cov = hac_arcoef_cov(np.zeros(12), est, 1, 1.0)
         assert np.abs(cov.matrix).max() <= 1e-12
 
     def test_small_instance_matches_brute_force(self):
         x = np.array([1.0, -2.0, 0.5, 1.5, -0.5])
         est = estimate_second_order(x, 1, 1)
-        cov = hac_arcoef_cov(x, est, 1, KERNEL, 2.0)
+        cov = hac_arcoef_cov(x, est, 1, 2.0)
         lin = linearization_matrix(est.sigma_hat[:2], 1)
         rows = brute_arcoef_rows(x, est.sigma_hat, lin.B, 1)
         brute = brute_kernel_double_sum(rows, gaussian_K, 2.0)
@@ -155,8 +153,8 @@ class TestArcoefCov:
         x = x / np.sqrt(autocov_vector(x, 0)[0])
         est = estimate_second_order(x, 2, 1)
         assert est.sigma_hat[0] == pytest.approx(1.0, abs=1e-12)
-        a = hac_arcoef_cov(x, est, 1, KERNEL, 3.0)
-        b = hac_autocorr_cov(x, est, (1,), KERNEL, 3.0)
+        a = hac_arcoef_cov(x, est, 1, 3.0)
+        b = hac_autocorr_cov(x, est, (1,), 3.0)
         assert abs(a.matrix[0, 0] - b.matrix[0, 0]) <= 1e-10
 
 
@@ -169,16 +167,16 @@ class TestBruteForceSweep:
             est = estimate_second_order(x, d, 2)
             H = (0, 1, 3)
             I = (1, 2)
-            got = hac_autocov_cov(x, est, H, KERNEL, k_T).matrix
+            got = hac_autocov_cov(x, est, H, k_T).matrix
             want = brute_kernel_double_sum(brute_residual_rows(x, est.sigma_hat, H), gaussian_K, k_T)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() <= 1e-10 * scale
-            got = hac_autocorr_cov(x, est, I, KERNEL, k_T).matrix
+            got = hac_autocorr_cov(x, est, I, k_T).matrix
             want = brute_kernel_double_sum(brute_autocorr_rows(x, est.sigma_hat, I), gaussian_K, k_T)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() <= 1e-10 * scale
             lin = linearization_matrix(est.sigma_hat[:3], 2)
-            got = hac_arcoef_cov(x, est, 2, KERNEL, k_T).matrix
+            got = hac_arcoef_cov(x, est, 2, k_T).matrix
             want = brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin.B, 2), gaussian_K, k_T)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() <= 1e-10 * scale

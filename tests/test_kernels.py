@@ -3,63 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from secondwild.kernels import (
-    BandwidthRule,
-    KernelSpec,
-    kernel_eval,
-    kernel_gram,
-    kernel_window,
-    select_bandwidth,
-)
+from secondwild.kernels import BandwidthRule, kernel_eval, kernel_gram, kernel_window, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
 
 
 class TestKernelEval:
     def test_at_zero(self):
-        assert kernel_eval(KernelSpec(), 0.0) == 1.0
+        assert kernel_eval(0.0) == 1.0
 
     def test_closed_form(self):
-        assert kernel_eval(KernelSpec(), 1.0) == pytest.approx(math.exp(-0.5))
+        assert kernel_eval(1.0) == pytest.approx(math.exp(-0.5))
 
     def test_symmetry(self):
-        spec = KernelSpec()
-        assert kernel_eval(spec, -2.0) == kernel_eval(spec, 2.0)
+        assert kernel_eval(-2.0) == kernel_eval(2.0)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            KernelSpec(kind="bartlett")
 
-    def test_custom_kernel_checked_on_grid(self):
-        KernelSpec(kind="triangle", func=lambda x: np.clip(1.0 - np.abs(x) / 10.0, 0.0, 1.0))
-        with pytest.raises(ValueError, match="K\\(0\\)"):
-            KernelSpec(kind="bad", func=lambda x: 0.5 * np.exp(-np.abs(x)))
-        with pytest.raises(ValueError, match="nonincreasing"):
-            KernelSpec(kind="wavy", func=lambda x: np.clip(0.5 + 0.5 * np.cos(x), 0.0, 1.0))
+def _scan_window(k_T: float, cutoff: float) -> int:
+    """Reference: scan outward from m = 0 and stop before the first offset
+    m + 1 with K((m + 1) / k_T) < cutoff (exact because K is nonincreasing
+    on [0, inf)).  The scan is evaluated as one array operation."""
+    steps = np.arange(1, math.ceil(k_T * math.sqrt(-2.0 * math.log(cutoff))) + 3)
+    below = kernel_eval(steps / k_T) < cutoff
+    assert below[-1]
+    return int(np.argmax(below))
 
 
 class TestKernelWindow:
     def test_gaussian_window_matches_closed_form(self):
-        for k_T in (1.0, 4.0, 33.0):
-            m = kernel_window(KernelSpec(), k_T, cutoff=1e-12)
-            bound = k_T * math.sqrt(2.0 * 12.0 * math.log(10.0))
-            assert m == math.floor(bound)
+        grid = np.concatenate((np.arange(50, 20_001) / 100.0, np.arange(1, 3000, dtype=float)))
+        mismatches = [k_T for k_T in grid if kernel_window(k_T, cutoff=1e-12) != _scan_window(k_T, 1e-12)]
+        assert mismatches == []
+        assert kernel_window(33.0, cutoff=1e-12) == math.floor(33.0 * math.sqrt(2.0 * 12.0 * math.log(10.0)))
+        assert kernel_window(33.0, cutoff=1e-12, limit=10) == 10
 
     def test_cutoff_zero_requires_limit(self):
-        assert kernel_window(KernelSpec(), 2.0, cutoff=0.0, limit=99) == 99
+        assert kernel_window(2.0, cutoff=0.0, limit=99) == 99
         with pytest.raises(ValueError):
-            kernel_window(KernelSpec(), 2.0, cutoff=0.0)
+            kernel_window(2.0, cutoff=0.0)
 
 
 class TestKernelGram:
     def test_two_by_two(self):
-        G = kernel_gram(KernelSpec(), 2, 1.0)
+        G = kernel_gram(2, 1.0)
         e = math.exp(-0.5)
         assert G == pytest.approx(np.array([[1.0, e], [e, 1.0]]))
         eig = np.linalg.eigvalsh(G)
         assert eig == pytest.approx([1.0 - e, 1.0 + e])
 
     def test_tiny_bandwidth_is_identityish(self):
-        G = kernel_gram(KernelSpec(), 3, 1e-3)
+        G = kernel_gram(3, 1e-3)
         assert G == pytest.approx(np.eye(3), abs=1e-12)
 
     def test_psd_across_random_bandwidths(self):
@@ -67,7 +59,7 @@ class TestKernelGram:
         for _ in range(50):
             T = int(g.integers(2, 201))
             k_T = float(g.uniform(0.05, 50.0))
-            eig_min = float(np.linalg.eigvalsh(kernel_gram(KernelSpec(), T, k_T))[0])
+            eig_min = float(np.linalg.eigvalsh(kernel_gram(T, k_T))[0])
             assert eig_min >= -1e-8 * T
 
 

@@ -52,14 +52,6 @@ class TestSieveBootstrap:
         assert r1.to_dict() == r2.to_dict()
         assert np.array_equal(d1.delta_a, d2.delta_a)
 
-    def test_thread_independent(self):
-        x = gen_series(DgpSpec("ar1", "independent", T=300, rho=0.6, seed=33))
-        cfg = SieveConfig(B=130, seed=5)
-        r1, d1 = ar_sieve_bootstrap(x, cfg=cfg, **ARGS)
-        r2, d2 = ar_sieve_bootstrap(x, cfg=cfg, threads=3, **ARGS)
-        assert np.array_equal(d1.delta_sigma, d2.delta_sigma)
-        assert r1.to_dict() == r2.to_dict()
-
     def test_degenerate_residual_pool_gives_zero_draws(self, monkeypatch):
         # with an all-zero residual pool every replicate regenerates the
         # deterministic skeleton, whose second-order parameters equal the
