@@ -73,7 +73,7 @@ from .series import (
 )
 from .sieve import SieveConfig, ar_sieve_bootstrap, stabilize_ar
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 __all__ = [
     "ARLinearization",

@@ -404,7 +404,6 @@ def run_plugin(
     x,
     config: BootstrapConfig,
     n_mc: int = 200_000,
-    window_cutoff: float = 1e-12,
 ) -> InferenceReport:
     """Plug-in alternative to the bootstrap: HAC covariance + Gaussian-max oracle.
 
@@ -420,9 +419,9 @@ def run_plugin(
     est = estimate_second_order(v, config.d, config.p, config.H, config.I)
     k_T = select_bandwidth(v, config.bandwidth)
     covs = {
-        TARGET_AUTOCOV: hac_autocov_cov(v, est, config.H, k_T, window_cutoff),
-        TARGET_AUTOCORR: hac_autocorr_cov(v, est, config.I, k_T, window_cutoff),
-        TARGET_ARCOEF: hac_arcoef_cov(v, est, config.p, k_T, window_cutoff),
+        TARGET_AUTOCOV: hac_autocov_cov(v, est, config.H, k_T),
+        TARGET_AUTOCORR: hac_autocorr_cov(v, est, config.I, k_T),
+        TARGET_ARCOEF: hac_arcoef_cov(v, est, config.p, k_T),
     }
     radii = {}
     for index, (target, cov) in enumerate(sorted(covs.items())):

@@ -6,9 +6,14 @@ Each estimator evaluates the quadratic form
 
 for a family of residual sequences r^{(j)}: centered lagged products for
 autocovariances, their studentized combination for autocorrelations, and
-the Yule-Walker linearization for fitted AR coefficients.  The double sum
-is evaluated by iterating over offsets m = i1 - i2 with K(m/k_T) above a
-cutoff (default 1e-12), which turns O(T^2) work into O(T * window).
+the Yule-Walker linearization for fitted AR coefficients.  Each row is
+zero in its first j slots, so the double sum is sum_i r_a[i] (w * r_b)[i]
+with w the two-sided kernel window K(m/k_T), |m| <= m_max, truncated where
+K falls below a cutoff (default 1e-12).  The convolution w * r_b treats
+positions outside [0, T) as zero, which reproduces the truncated limits
+exactly.  It is taken by overlap-add FFT over blocks of output positions,
+so the work is O(T log window) and the scratch memory is bounded by the
+block length, not by T.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.signal
 
 from .errors import DegenerateVarianceError
 from .kernels import kernel_eval, kernel_window
@@ -42,6 +48,10 @@ class LongRunCov:
     k_T: float
 
 
+# Output positions smoothed per convolution; bounds the scratch memory.
+_BLOCK = 1 << 16
+
+
 def _weighted_quadratic(rows: np.ndarray, k_T: float, cutoff: float) -> np.ndarray:
     """Kernel-weighted cross sums of zero-padded rows, divided by T.
 
@@ -50,17 +60,16 @@ def _weighted_quadratic(rows: np.ndarray, k_T: float, cutoff: float) -> np.ndarr
     """
     n, T = rows.shape
     m_max = kernel_window(k_T, cutoff=cutoff, limit=T - 1)
-    w = np.atleast_1d(kernel_eval(np.arange(m_max + 1) / k_T))
-    out = np.empty((n, n))
-    for a in range(n):
-        r1 = rows[a]
-        for b in range(a, n):
-            r2 = rows[b]
-            s = w[0] * (r1 @ r2)
-            for m in range(1, m_max + 1):
-                s += w[m] * (r1[m:] @ r2[: T - m] + r1[: T - m] @ r2[m:])
-            out[a, b] = out[b, a] = s
-    return out / T
+    w = kernel_eval(np.arange(-m_max, m_max + 1) / k_T)[np.newaxis, :]
+    out = np.zeros((n, n))
+    for s in range(0, T, _BLOCK):
+        e = min(s + _BLOCK, T)
+        lo = max(0, s - m_max)
+        hi = min(T, e + m_max)
+        # "full" output index k is position lo + k - m_max.
+        smoothed = scipy.signal.oaconvolve(rows[:, lo:hi], w, mode="full", axes=1)
+        out += rows[:, s:e] @ smoothed[:, s - lo + m_max : e - lo + m_max].T
+    return (out + out.T) / (2.0 * T)
 
 
 def hac_autocov_cov(

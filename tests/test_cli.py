@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,50 @@ class TestParsing:
         f.write_text("1.0\n2.0\nbanana\n")
         with pytest.raises(ValueError, match=":3"):
             read_series_csv(str(f))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1.5\n-2.5e-3\nnan\n", [1.5, -2.5e-3, np.nan]),
+            ("value\n1.5\n2.5\n", [1.5, 2.5]),
+            ("\n1.5\n\n   \n2.5\n\n", [1.5, 2.5]),
+            ("  1.5  \n\t2.5\n", [1.5, 2.5]),
+            ("1.0,\n2.0\n", [1.0, 2.0]),
+            ("1_0\n2\n", [10.0, 2.0]),
+            ("#x\n1\n2\n", [1.0, 2.0]),
+            ("1\n#x\n2\n", ":2: not a number"),
+            ("1.0\n2.0\nbanana\n", ":3: not a number"),
+            ("1.0,2.0\n", ":1: expected one value per line, got 2"),
+            ("1.0,2.0\n3.0,4.0\n", ":1: expected one value per line, got 2"),
+            ("1.0\n", "found 1"),
+            ("", "found 0"),
+        ],
+    )
+    def test_fast_parse_agrees_with_line_loop(self, tmp_path, monkeypatch, text, expected):
+        """The loadtxt path gives the line loop's values or error, warning-free."""
+        f = tmp_path / "x.csv"
+        f.write_text(text)
+
+        def outcome():
+            try:
+                return read_series_csv(str(f)).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("fast path off")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = outcome()
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", refuse)
+            loop = outcome()
+        assert fast == loop
+        if isinstance(expected, str):
+            assert expected in loop
+        else:
+            assert loop == np.asarray(expected, dtype=float).tobytes()
 
     def test_empty_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "empty.csv"

@@ -8,6 +8,7 @@ from conftest import (
     brute_residual_rows,
     gaussian_K,
 )
+from secondwild import hac
 from secondwild.errors import DegenerateVarianceError
 from secondwild.hac import hac_arcoef_cov, hac_autocorr_cov, hac_autocov_cov
 from secondwild.kernels import BandwidthRule, select_bandwidth
@@ -180,3 +181,37 @@ class TestBruteForceSweep:
             want = brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin.B, 2), gaussian_K, k_T)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() <= 1e-10 * scale
+
+
+class TestBlockSeams:
+    """The blocked convolution matches the double loop across block seams.
+
+    The acceptance instances are shorter than one block, so here the block
+    length is shrunk until every instance spans several seams.
+    """
+
+    @pytest.mark.parametrize("block", [5, 17])
+    def test_all_estimators_match_double_loop(self, monkeypatch, block):
+        monkeypatch.setattr(hac, "_BLOCK", block)
+        g = RngStream(derive_seed(79, (block,))).generator()
+        # (T, k_T, window_cutoff): an ordinary window, a window that the
+        # T - 1 cap truncates, and the untruncated cutoff-0 window.
+        cases = ((int(g.integers(100, 201)), 4.5, 1e-12), (110, 30.0, 1e-12), (130, 2.5, 0.0))
+        for T, k_T, cutoff in cases:
+            x = g.standard_normal(T)
+            est = estimate_second_order(x, 3, 2)
+            H = (0, 1, 3)
+            I = (1, 2)
+            lin = linearization_matrix(est.sigma_hat[:3], 2)
+            pairs = (
+                (hac_autocov_cov(x, est, H, k_T, window_cutoff=cutoff).matrix,
+                 brute_residual_rows(x, est.sigma_hat, H)),
+                (hac_autocorr_cov(x, est, I, k_T, window_cutoff=cutoff).matrix,
+                 brute_autocorr_rows(x, est.sigma_hat, I)),
+                (hac_arcoef_cov(x, est, 2, k_T, window_cutoff=cutoff).matrix,
+                 brute_arcoef_rows(x, est.sigma_hat, lin.B, 2)),
+            )
+            for got, rows in pairs:
+                want = brute_kernel_double_sum(rows, gaussian_K, k_T)
+                scale = max(np.abs(want).max(), 1e-12)
+                assert np.abs(got - want).max() <= 1e-10 * scale
