@@ -29,6 +29,7 @@ from .dgp import (
     ar_autocovariances,
     gen_innovations,
     gen_series,
+    gen_series_block,
     ma_autocovariances,
     model_autocovariances,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "gaussian_max_quantile",
     "gen_innovations",
     "gen_series",
+    "gen_series_block",
     "hac_arcoef_cov",
     "hac_autocorr_cov",
     "hac_autocov_cov",

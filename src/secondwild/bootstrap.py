@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateVarianceError, NumericalError
 from .gaussian import PsdFactor, factorize_psd, gaussian_max_quantile
@@ -255,10 +254,17 @@ def bootstrap_replicate(
 
 
 def _pinv_yule_walker(sigma: np.ndarray, p: int) -> np.ndarray:
-    """Moore-Penrose Yule-Walker solve, used unconditionally on replicates."""
-    Sigma = scipy.linalg.toeplitz(sigma[:p])
-    pinv = np.linalg.pinv(Sigma, rcond=PINV_RCOND, hermitian=True)
-    return pinv @ sigma[1 : p + 1]
+    """Moore-Penrose Yule-Walker solve, used unconditionally on replicates.
+
+    ``sigma`` holds autocovariances at lags 0..>=p, as one vector or as the
+    rows of a stack; the stack is solved in one batched ``pinv`` and
+    ``matmul``, which give each row the bits of its own solve.
+    """
+    S = np.atleast_2d(sigma)
+    lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    pinv = np.linalg.pinv(S[:, lags], rcond=PINV_RCOND, hermitian=True)
+    a = np.matmul(pinv, S[:, 1 : p + 1, None])[..., 0]
+    return a[0] if np.ndim(sigma) == 1 else a
 
 
 @lru_cache(maxsize=32)
@@ -296,10 +302,6 @@ def run_bootstrap(
     factor = multiplier_factor(T, k_T) if multiplier_override is None else None
 
     B = config.B
-    sqrt_T = np.sqrt(T)
-    H_idx = np.asarray(config.H)
-    I_idx = np.asarray(config.I)
-    rho_hat_I = est.rho_hat[I_idx]
     delta_sigma = np.empty(B)
     delta_rho = np.empty(B)
     delta_a = np.empty(B)
@@ -309,33 +311,17 @@ def run_bootstrap(
     def _multipliers(b: int) -> np.ndarray:
         if multiplier_override is not None:
             return np.asarray(multiplier_override(b, T), dtype=float)
-        z = RngStream(config.seed, b).generator().standard_normal(T)
-        return factor.L @ z
-
-    def _finish(b: int, delta: np.ndarray) -> None:
-        sigma_star = est.sigma_hat + delta
-        if sigma_star[0] == 0.0:
-            with degenerate_lock:
-                degenerate[0] += 1
-            redraw = _multipliers(B + b)
-            delta = residuals.rows @ redraw / T
-            sigma_star = est.sigma_hat + delta
-            if sigma_star[0] == 0.0:
-                raise NumericalError(f"replicate {b} degenerate (sigma*_0 = 0) after one redraw")
-        i = b - 1
-        delta_sigma[i] = sqrt_T * np.abs(delta[H_idx]).max()
-        delta_rho[i] = sqrt_T * np.abs(sigma_star[I_idx] / sigma_star[0] - rho_hat_I).max()
-        a_star = _pinv_yule_walker(sigma_star, config.p)
-        delta_a[i] = sqrt_T * np.abs(a_star - est.a_hat).max()
+        return _gaussian_multipliers(factor, config.seed, b)
 
     def _run_chunk(start: int) -> None:
         stop = min(start + _CHUNK, B)
-        eps = np.empty((T, stop - start))
-        for offset, b in enumerate(range(start + 1, stop + 1)):
-            eps[:, offset] = _multipliers(b)
-        deltas = residuals.rows @ eps / T
-        for offset, b in enumerate(range(start + 1, stop + 1)):
-            _finish(b, deltas[:, offset])
+        deltas, sigma_star, redrawn = _wild_chunk(est.sigma_hat, residuals.rows, _multipliers, B, start, stop)
+        a_star = _pinv_yule_walker(sigma_star, config.p)
+        delta_sigma[start:stop], delta_rho[start:stop], delta_a[start:stop] = _wild_max_deviations(
+            deltas, sigma_star, a_star, est.rho_hat, est.a_hat, config.H, config.I, T
+        )
+        with degenerate_lock:
+            degenerate[0] += redrawn
 
     starts = range(0, B, _CHUNK)
     if threads > 1:
@@ -359,6 +345,64 @@ def run_bootstrap(
         provenance=_provenance(config, k_T, degenerate[0], est),
     )
     return report, draws
+
+
+def _gaussian_multipliers(factor: PsdFactor, seed: int, b: int) -> np.ndarray:
+    """Multipliers e = L z of replicate b, with z from stream (seed, b)."""
+    z = RngStream(seed, b).generator().standard_normal(factor.dim)
+    return factor.L @ z
+
+
+def _wild_chunk(
+    sigma_hat: np.ndarray,
+    rows: np.ndarray,
+    multipliers: Callable[[int], np.ndarray],
+    B: int,
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Replicates start+1..stop of the wild bootstrap, one row each.
+
+    Returns the perturbations delta = rows @ e / T, sigma* = sigma_hat + delta
+    and the number of redrawn replicates.  A replicate whose sigma*_0 is
+    exactly zero is redrawn once from multipliers(B + b); a second failure
+    raises ``NumericalError``.
+    """
+    T = rows.shape[1]
+    eps = np.empty((T, stop - start))
+    for offset, b in enumerate(range(start + 1, stop + 1)):
+        eps[:, offset] = multipliers(b)
+    deltas = (rows @ eps / T).T
+    sigma_star = sigma_hat + deltas
+    degenerate = np.flatnonzero(sigma_star[:, 0] == 0.0)
+    for i in degenerate:
+        b = start + 1 + int(i)
+        delta = rows @ multipliers(B + b) / T
+        redrawn = sigma_hat + delta
+        if redrawn[0] == 0.0:
+            raise NumericalError(f"replicate {b} degenerate (sigma*_0 = 0) after one redraw")
+        deltas[i] = delta
+        sigma_star[i] = redrawn
+    return deltas, sigma_star, degenerate.size
+
+
+def _wild_max_deviations(deltas, sigma_star, a_star, rho_hat, a_hat, H, I, T: int) -> tuple[np.ndarray, ...]:
+    """sqrt(T)-scaled max deviations of wild replicates, one entry per row.
+
+    ``rho_hat`` and ``a_hat`` are the sample estimates: one vector, or one
+    row per replicate.
+    """
+    H = np.asarray(H)
+    I = np.asarray(I)
+    return (
+        _max_abs(deltas[:, H], T),
+        _max_abs(sigma_star[:, I] / sigma_star[:, :1] - rho_hat[..., I], T),
+        _max_abs(a_star - a_hat, T),
+    )
+
+
+def _max_abs(rows: np.ndarray, T: int) -> np.ndarray:
+    return np.sqrt(T) * np.abs(rows).max(axis=1)
 
 
 def _make_bands(est: SecondOrderEstimates, radii: dict[str, float]) -> dict[str, FamilyBand]:

@@ -130,18 +130,46 @@ def _ar_filter(coefficients, eps: np.ndarray) -> np.ndarray:
 
 
 def nlar2_path(eps: np.ndarray) -> np.ndarray:
-    """Raw x_t = sin(x_{t-1}) + cos(x_{t-2}) + eps_t recursion from zeros."""
-    out = np.empty(eps.size)
+    """Raw x_t = sin(x_{t-1}) + cos(x_{t-2}) + eps_t recursion from zeros.
+
+    ``eps`` is one path, or a stack of paths with time along axis 1.  A
+    stack of several rows runs the recursion across rows with numpy
+    ufuncs; a single path runs a scalar ``math`` loop.  Each row gets the
+    same bits either way.
+    """
+    if eps.ndim == 2 and eps.shape[0] > 1:
+        out = np.empty(eps.shape)
+        x1 = np.zeros(eps.shape[0])
+        x2 = np.zeros(eps.shape[0])
+        for t in range(eps.shape[1]):
+            x = np.sin(x1) + np.cos(x2) + eps[:, t]
+            out[:, t] = x
+            x2 = x1
+            x1 = x
+        return out
+    flat = eps.ravel()
+    out = np.empty(flat.size)
     x1 = 0.0
     x2 = 0.0
     sin = math.sin
     cos = math.cos
-    for t in range(eps.size):
-        x = sin(x1) + cos(x2) + eps[t]
+    for t in range(flat.size):
+        x = sin(x1) + cos(x2) + flat[t]
         out[t] = x
         x2 = x1
         x1 = x
-    return out
+    return out.reshape(eps.shape)
+
+
+def _recursion(spec: DgpSpec, eps: np.ndarray) -> np.ndarray:
+    """Run the model's recursion from zeros along the last axis of ``eps``."""
+    if spec.model == "ar1":
+        return _ar_filter((spec.rho,), eps)
+    if spec.model in AR_COEFFICIENTS:
+        return _ar_filter(AR_COEFFICIENTS[spec.model], eps)
+    if spec.model == "ma3":
+        return scipy.signal.lfilter([1.0, *MA3_THETA], [1.0], eps)
+    return nlar2_path(eps) - NLAR2_LONG_RUN_MEAN
 
 
 def gen_series(spec: DgpSpec) -> TimeSeries:
@@ -153,15 +181,27 @@ def gen_series(spec: DgpSpec) -> TimeSeries:
     """
     n = spec.burn_in + spec.T
     eps = gen_innovations(spec.innovation, n, RngStream(spec.seed, spec.stream_index))
-    if spec.model == "ar1":
-        values = _ar_filter((spec.rho,), eps)
-    elif spec.model in AR_COEFFICIENTS:
-        values = _ar_filter(AR_COEFFICIENTS[spec.model], eps)
-    elif spec.model == "ma3":
-        values = scipy.signal.lfilter([1.0, *MA3_THETA], [1.0], eps)
-    else:
-        values = nlar2_path(eps) - NLAR2_LONG_RUN_MEAN
-    return TimeSeries(values[spec.burn_in :], centered=False)
+    return TimeSeries(_recursion(spec, eps)[spec.burn_in :], centered=False)
+
+
+def gen_series_block(spec: DgpSpec, seeds) -> np.ndarray:
+    """Simulate one series per seed, as the rows of a (len(seeds), T) array.
+
+    Row i holds the bits of ``gen_series(replace(spec, seed=seeds[i])).values``:
+    each row draws its innovations from its own stream, and the recursion
+    runs once over the block (``lfilter`` along axis 1, or ``nlar2_path``
+    across rows).  Raises ``ValueError`` naming the first non-finite value.
+    """
+    n = spec.burn_in + spec.T
+    eps = np.empty((len(seeds), n))
+    for i, seed in enumerate(seeds):
+        eps[i] = gen_innovations(spec.innovation, n, RngStream(seed, spec.stream_index))
+    values = np.ascontiguousarray(_recursion(spec, eps)[:, spec.burn_in :])
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, pos = np.argwhere(~finite)[0]
+        raise ValueError(f"simulated series {row} contains a non-finite value at position {pos}")
+    return values
 
 
 def ar_autocovariances(coefficients, innovation_variance: float, max_lag: int) -> np.ndarray:

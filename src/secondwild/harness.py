@@ -6,6 +6,23 @@ cheaper ``warp_speed`` mode draws exactly one bootstrap replicate per
 repetition, pools those draws into a single quantile per scenario, and
 counts how many repetitions' max-deviation statistics fall inside the
 pooled band.
+
+Repetitions run in blocks of up to 256 (in full mode, of at most 256
+replicates per method).  Each repetition still draws from its own
+``derive_seed`` streams, but the block is simulated in one pass
+(``gen_series_block``), each series' correlogram is computed once and
+feeds the bandwidth rule, the estimates and the sieve's AIC, and every
+Yule-Walker finish of the block (wild and sieve replicates, sieve model
+truths) goes through one stacked pseudo-inverse.  Each of these steps
+repeats the arithmetic of the one-repetition-at-a-time path, so reports
+are the same bytes as running ``gen_series``, ``run_bootstrap`` and
+``ar_sieve_bootstrap`` per repetition (``tests/conftest.py`` keeps that
+loop as the reference).
+
+The nonlinear model's plug-in truth comes from one path of 10^7 steps.
+Its autocovariances at lags 0..64 are stored in ``_nlar2_truth.py``
+(regenerate with ``scripts/generate_nlar2_truth.py``); longer lag ranges
+still simulate the path.
 """
 
 from __future__ import annotations
@@ -14,20 +31,37 @@ import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.stats
 
-from .bootstrap import BootstrapConfig, _pinv_yule_walker, run_bootstrap
-from .dgp import MODELS, DgpSpec, InnovationKind, gen_series, model_autocovariances, parse_innovation
+from ._nlar2_truth import NLAR2_TRUTH_AUTOCOV
+from .bootstrap import (
+    _CHUNK,
+    BootstrapConfig,
+    BootstrapDraws,
+    _gaussian_multipliers,
+    _pinv_yule_walker,
+    _wild_chunk,
+    _wild_max_deviations,
+    multiplier_factor,
+)
+from .dgp import MODELS, DgpSpec, InnovationKind, gen_series, gen_series_block, model_autocovariances, parse_innovation
 from .gaussian import max_abs_normal_sample
 from .hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
-from .kernels import BandwidthRule, select_bandwidth
+from .kernels import BandwidthRule, _bandwidth_from_correlogram, _correlogram_lags, select_bandwidth
 from .quantiles import ecdf_quantile
 from .rng import RngStream, derive_seed
-from .series import ar_order_select_aic, autocov_vector, estimate_second_order
-from .sieve import SieveConfig, ar_sieve_bootstrap
+from .series import (
+    _estimates_from_autocov,
+    ar_order_select_aic,
+    autocov_vector,
+    estimate_second_order,
+    normalize_lag_set,
+    second_order_residual_matrix,
+)
+from .sieve import SieveConfig, _fit_sieve_autocov, _sieve_max_deviations, _sieve_sigma_star, _sieve_world
 
 TARGETS = (TARGET_AUTOCOV, TARGET_AUTOCORR, TARGET_ARCOEF)
 METHODS = ("wild", "sieve")
@@ -37,11 +71,20 @@ _TRUTH_SEED = 77_003_917
 _TRUTH_LENGTH = 10**7
 _TRUTH_BURN_IN = 10_000
 
-_CHUNK = 32
+# Repetitions simulated together and finished by one stacked Yule-Walker
+# solve.  In full mode a block is cut so that it holds at most this many
+# replicates per method.
+_BLOCK = 256
 
 
-@lru_cache(maxsize=None)
-def _nlar2_plugin_autocov(innovation: InnovationKind, max_lag: int) -> tuple[float, ...]:
+def _blocks(reps: int, size: int):
+    """Consecutive ranges of repetition indices, ``size`` at a time."""
+    for start in range(0, reps, size):
+        yield range(start, min(start + size, reps))
+
+
+def _nlar2_simulated_autocov(innovation: InnovationKind, max_lag: int) -> tuple[float, ...]:
+    """Autocovariances of one long NLAR2 path with a fixed internal seed."""
     spec = DgpSpec(
         model="nlar2",
         innovation=innovation,
@@ -51,6 +94,19 @@ def _nlar2_plugin_autocov(innovation: InnovationKind, max_lag: int) -> tuple[flo
     )
     series = gen_series(spec)
     return tuple(autocov_vector(series, max_lag).tolist())
+
+
+@lru_cache(maxsize=None)
+def _nlar2_plugin_autocov(innovation: InnovationKind, max_lag: int) -> tuple[float, ...]:
+    """The simulated truth, read from the stored values up to their last lag.
+
+    ``autocov_vector`` computes each lag on its own, so a stored prefix
+    equals a fresh simulation at the same lags bit for bit.
+    """
+    stored = NLAR2_TRUTH_AUTOCOV[innovation.value]
+    if max_lag < len(stored):
+        return stored[: max_lag + 1]
+    return _nlar2_simulated_autocov(innovation, max_lag)
 
 
 def true_autocovariances(model: str, innovation, rho: float, max_lag: int) -> tuple[np.ndarray, bool]:
@@ -146,14 +202,15 @@ def variance_study(n: int, reps: int, stream: RngStream, rho: float = 0.7) -> Va
     gamma1 = rho * gamma0
     rows = []
     for k_idx, kind in enumerate(InnovationKind):
+        spec = DgpSpec(model="ar1", innovation=kind, T=n, rho=rho)
         rho_hat = np.empty(reps)
         gamma1_hat = np.empty(reps)
-        for r in range(reps):
-            seed = derive_seed(stream.seed, (stream.stream_index, k_idx, r))
-            series = gen_series(DgpSpec(model="ar1", innovation=kind, T=n, rho=rho, seed=seed))
-            sigma = autocov_vector(series, 1)
-            rho_hat[r] = sigma[1] / sigma[0]
-            gamma1_hat[r] = sigma[1]
+        for block in _blocks(reps, _BLOCK):
+            seeds = [derive_seed(stream.seed, (stream.stream_index, k_idx, r)) for r in block]
+            for r, series in zip(block, gen_series_block(spec, seeds)):
+                sigma = autocov_vector(series, 1)
+                rho_hat[r] = sigma[1] / sigma[0]
+                gamma1_hat[r] = sigma[1]
         rows.append(
             VarianceStudyRow(
                 innovation=kind.value,
@@ -280,95 +337,106 @@ def coverage_study(
     if p_max > d:
         raise ValueError(f"p_max must be <= d so the fitted order fits the lag range, got {p_max} > {d}")
     scenarios = [s if isinstance(s, Scenario) else Scenario.parse(str(s)) for s in scenarios]
+    H = normalize_lag_set(H, d, 0, "H")
+    I = normalize_lag_set(I, d, 1, "I")
+    H_idx = np.asarray(H)
+    I_idx = np.asarray(I)
     level = 1.0 - alpha
     B_rep = 1 if mode == "warp_speed" else B
+    if "sieve" in methods:  # validated once; the blocks take the values directly
+        SieveConfig(p_max=p_max, B=B_rep, alpha=alpha, burn_in=burn_in)
+    bandwidth_c = BandwidthRule.auto().c
+    n_lags = max(d, _correlogram_lags(T))
+    block_size = max(1, _BLOCK // B_rep)
     rows: list[CoverageRow] = []
     for s_idx, scen in enumerate(scenarios):
         sigma_true, approx = true_autocovariances(scen.model, scen.innovation, scen.rho, d)
         rho_true = sigma_true / sigma_true[0]
+        spec = DgpSpec(model=scen.model, innovation=scen.innovation, T=T, rho=scen.rho, burn_in=burn_in)
         pilot_orders = []
         for i in range(11):
-            pilot_seed = derive_seed(stream.seed, (stream.stream_index, s_idx, i, 3))
-            pilot = gen_series(
-                DgpSpec(
-                    model=scen.model,
-                    innovation=scen.innovation,
-                    T=T,
-                    rho=scen.rho,
-                    burn_in=burn_in,
-                    seed=pilot_seed,
-                )
-            )
+            pilot = gen_series(replace(spec, seed=derive_seed(stream.seed, (stream.stream_index, s_idx, i, 3))))
             pilot_orders.append(max(1, ar_order_select_aic(pilot, p_max)))
         p_scen = int(np.bincount(pilot_orders).argmax())
+        if "wild" in methods:  # validated once, as the sieve's above
+            BootstrapConfig(d=d, p=p_scen, H=H, I=I, B=B_rep, alpha=alpha)
         a_true = _pinv_yule_walker(sigma_true, p_scen)
         stats = {t: np.empty(reps) for t in TARGETS}
         draws = {m: {t: np.empty(reps) for t in TARGETS} for m in methods}
         covered = {m: {t: np.empty(reps, dtype=bool) for t in TARGETS} for m in methods}
         kts = np.empty(reps)
-        H_idx = np.asarray(sorted(H))
-        I_idx = np.asarray(sorted(I))
 
-        def _one_rep(r: int) -> None:
-            dgp_seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 0))
-            series = gen_series(
-                DgpSpec(
-                    model=scen.model,
-                    innovation=scen.innovation,
-                    T=T,
-                    rho=scen.rho,
-                    burn_in=burn_in,
-                    seed=dgp_seed,
-                )
-            )
-            p_r = p_scen
-            k_T = select_bandwidth(series, BandwidthRule.auto())
-            kts[r] = k_T
-            est = estimate_second_order(series, d, p_r, H_idx, I_idx)
-            stats[TARGET_AUTOCOV][r] = np.sqrt(T) * np.abs(est.sigma_hat[H_idx] - sigma_true[H_idx]).max()
-            stats[TARGET_AUTOCORR][r] = np.sqrt(T) * np.abs(est.rho_hat[I_idx] - rho_true[I_idx]).max()
-            stats[TARGET_ARCOEF][r] = np.sqrt(T) * np.abs(est.a_hat - a_true).max()
-            if "wild" in methods:
-                config = BootstrapConfig(
-                    d=d,
-                    p=p_r,
-                    H=tuple(H_idx),
-                    I=tuple(I_idx),
-                    bandwidth=BandwidthRule.fixed(k_T),
-                    B=B_rep,
-                    alpha=alpha,
-                    seed=derive_seed(stream.seed, (stream.stream_index, s_idx, r, 1)),
-                )
-                report_w, draws_w = run_bootstrap(series, config)
-                for t in TARGETS:
-                    draws["wild"][t][r] = draws_w.by_target()[t][0]
-                    if mode == "full":
-                        covered["wild"][t][r] = stats[t][r] <= report_w.radii[t]
-            if "sieve" in methods:
-                cfg = SieveConfig(
-                    p_max=p_max,
-                    B=B_rep,
-                    alpha=alpha,
-                    seed=derive_seed(stream.seed, (stream.stream_index, s_idx, r, 2)),
-                    burn_in=burn_in,
-                )
-                report_s, draws_s = ar_sieve_bootstrap(series, d, p_r, H_idx, I_idx, cfg)
-                for t in TARGETS:
-                    draws["sieve"][t][r] = draws_s.by_target()[t][0]
-                    if mode == "full":
-                        covered["sieve"][t][r] = stats[t][r] <= report_s.radii[t]
+        def _record(method: str, block: range, deviations) -> None:
+            by_target = BootstrapDraws(*deviations).by_target()
+            for t in TARGETS:
+                per_rep = by_target[t].reshape(len(block), B_rep)
+                if mode == "warp_speed":
+                    draws[method][t][block.start : block.stop] = per_rep[:, 0]
+                else:
+                    for r, values in zip(block, per_rep):
+                        covered[method][t][r] = stats[t][r] <= ecdf_quantile(values, level)
 
-        def _chunk(start: int) -> None:
-            for r in range(start, min(start + _CHUNK, reps)):
-                _one_rep(r)
+        def _run_block(block: range) -> None:
+            seeds = [derive_seed(stream.seed, (stream.stream_index, s_idx, r, 0)) for r in block]
+            ests, wild_deltas, wild_sigma, worlds, sieve_sigma = [], [], [], [], []
+            for r, v in zip(block, gen_series_block(spec, seeds)):
+                sigma = autocov_vector(v, n_lags)
+                k_T = _bandwidth_from_correlogram(sigma, T, bandwidth_c)
+                kts[r] = k_T
+                est = _estimates_from_autocov(sigma[: d + 1], T, p_scen, H, I)
+                ests.append(est)
+                stats[TARGET_AUTOCOV][r] = np.sqrt(T) * np.abs(est.sigma_hat[H_idx] - sigma_true[H_idx]).max()
+                stats[TARGET_AUTOCORR][r] = np.sqrt(T) * np.abs(est.rho_hat[I_idx] - rho_true[I_idx]).max()
+                stats[TARGET_ARCOEF][r] = np.sqrt(T) * np.abs(est.a_hat - a_true).max()
+                if "wild" in methods:
+                    residuals = second_order_residual_matrix(v, est.sigma_hat, d)
+                    seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 1))
+                    multipliers = partial(_gaussian_multipliers, multiplier_factor(T, k_T), seed)
+                    for start in range(0, B_rep, _CHUNK):
+                        deltas, sigma_star, _ = _wild_chunk(
+                            est.sigma_hat, residuals, multipliers, B_rep, start, min(start + _CHUNK, B_rep)
+                        )
+                        wild_deltas.append(deltas)
+                        wild_sigma.append(sigma_star)
+                if "sieve" in methods:
+                    world = _sieve_world(_fit_sieve_autocov(v, sigma, p_max), d)
+                    worlds.append(world)
+                    seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 2))
+                    sieve_sigma.append(_sieve_sigma_star(world, seed, B_rep, burn_in, T, d))
+            if not methods:
+                return
+            # One stacked Yule-Walker solve finishes the block: wild
+            # replicates, then sieve model truths, then sieve replicates.
+            model_sigma = [w.sigma for w in worlds]
+            a_all = _pinv_yule_walker(np.vstack(wild_sigma + model_sigma + sieve_sigma), p_scen)
+            n_wild = len(block) * B_rep if wild_sigma else 0
+            a_wild, a_model, a_sieve = np.split(a_all, [n_wild, n_wild + len(worlds)])
+            if wild_sigma:
+                _record("wild", block, _wild_max_deviations(
+                    np.concatenate(wild_deltas),
+                    np.concatenate(wild_sigma),
+                    a_wild,
+                    np.repeat([e.rho_hat for e in ests], B_rep, axis=0),
+                    np.repeat([e.a_hat for e in ests], B_rep, axis=0),
+                    H, I, T,
+                ))
+            if worlds:
+                _record("sieve", block, _sieve_max_deviations(
+                    np.concatenate(sieve_sigma),
+                    a_sieve,
+                    np.repeat(model_sigma, B_rep, axis=0),
+                    np.repeat([w.rho for w in worlds], B_rep, axis=0),
+                    np.repeat(a_model, B_rep, axis=0),
+                    H, I, T,
+                ))
 
-        starts = range(0, reps, _CHUNK)
+        blocks = list(_blocks(reps, block_size))
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(_chunk, starts))
+                list(pool.map(_run_block, blocks))
         else:
-            for start in starts:
-                _chunk(start)
+            for block in blocks:
+                _run_block(block)
 
         mean_kt = float(kts.mean())
         for method in methods:
@@ -453,12 +521,13 @@ def gaussian_approx_check(
     cov = hac_autocov_cov(long_series, est_long, H_idx, k_T)
     oracle = max_abs_normal_sample(cov.matrix, n_oracle, RngStream(derive_seed(stream.seed, (stream.stream_index, 1)), 0))
 
+    rep_spec = replace(spec, T=T, stream_index=0)
     roots = np.empty(reps)
-    for r in range(reps):
-        rep_seed = derive_seed(stream.seed, (stream.stream_index, 2, r))
-        series = gen_series(replace(spec, T=T, seed=rep_seed, stream_index=0))
-        sigma_hat = autocov_vector(series, d)
-        roots[r] = np.sqrt(T) * np.abs(sigma_hat[H_idx] - sigma_true[H_idx]).max()
+    for block in _blocks(reps, _BLOCK):
+        seeds = [derive_seed(stream.seed, (stream.stream_index, 2, r)) for r in block]
+        for r, series in zip(block, gen_series_block(rep_spec, seeds)):
+            sigma_hat = autocov_vector(series, d)
+            roots[r] = np.sqrt(T) * np.abs(sigma_hat[H_idx] - sigma_true[H_idx]).max()
 
     ks = float(scipy.stats.ks_2samp(roots, oracle).statistic)
     return ApproxCheckReport(

@@ -91,15 +91,29 @@ def select_bandwidth(x, rule: BandwidthRule) -> float:
     if rule.variant == "fixed":
         return float(rule.k_T)
     v = _values(x)
-    T = v.size
+    return _bandwidth_from_correlogram(autocov_vector(v, _correlogram_lags(v.size)), v.size, rule.c)
+
+
+def _correlogram_lags(T: int) -> int:
+    """Highest lag the automatic rule reads: L + K_n, capped at T - 1."""
+    return min(math.isqrt(T) + _scan_width(T), T - 1)
+
+
+def _scan_width(T: int) -> int:
+    """K_n: how many consecutive small autocorrelations end the scan."""
+    return max(5, math.ceil(math.sqrt(math.log10(T))))
+
+
+def _bandwidth_from_correlogram(sigma: np.ndarray, T: int, c: float) -> float:
+    """The automatic rule on autocovariances at lags 0..>=_correlogram_lags(T)."""
     if T < 20:
         raise ValueError(
             f"automatic bandwidth selection needs T >= 20 (got {T}); use BandwidthRule.fixed instead"
         )
     L = math.isqrt(T)
-    K_n = max(5, math.ceil(math.sqrt(math.log10(T))))
-    threshold = rule.c * math.sqrt(math.log10(T) / T)
-    sigma = autocov_vector(v, min(L + K_n, T - 1))
+    K_n = _scan_width(T)
+    threshold = c * math.sqrt(math.log10(T) / T)
+    sigma = sigma[: _correlogram_lags(T) + 1]
     if sigma[0] == 0.0:
         return 1.0
     rho = np.abs(sigma / sigma[0])

@@ -192,16 +192,24 @@ def ar_order_select_aic(x, p_max: int) -> int:
     """
     v = _values(x)
     T = v.size
+    _check_order_range(p_max, T)
+    return _order_select_aic(autocov_vector(v, p_max), T, p_max)
+
+
+def _check_order_range(p_max: int, T: int) -> None:
     if not 0 <= p_max < T / 2:
         raise ValueError(f"p_max {p_max} out of range for series of length {T} (need 0 <= p_max < T/2)")
-    sigma = autocov_vector(v, p_max)
+
+
+def _order_select_aic(sigma: np.ndarray, T: int, p_max: int) -> int:
+    """AIC order from sample autocovariances at lags 0..>=p_max (range checked by the caller)."""
     variances = _innovation_variances(sigma, p_max)
     if variances.size < p_max + 1:
         warnings.warn(
             f"Levinson-Durbin recursion hit a non-positive variance; "
             f"order capped at {variances.size - 1}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     orders = np.arange(variances.size)
     aic = T * np.log(variances) + 2.0 * orders
@@ -327,7 +335,14 @@ def estimate_second_order(x, d: int, p: int, H=None, I=None) -> SecondOrderEstim
         raise ValueError(f"maximum lag {d} out of range for series of length {T}")
     H = normalize_lag_set(H if H is not None else range(d + 1), d, 0, "H")
     I = normalize_lag_set(I if I is not None else range(1, d + 1), d, 1, "I")
-    sigma = autocov_vector(v, d)
+    return _estimates_from_autocov(autocov_vector(v, d), T, p, H, I)
+
+
+def _estimates_from_autocov(sigma: np.ndarray, T: int, p: int, H, I) -> SecondOrderEstimates:
+    """Estimates from the autocovariances at lags 0..d of a series of length T.
+
+    ``p``, ``H`` and ``I`` must already be validated against d = sigma.size - 1.
+    """
     if sigma[0] == 0.0:
         raise DegenerateVarianceError("sample variance is zero, estimates undefined")
     rho = sigma / sigma[0]
@@ -337,7 +352,7 @@ def estimate_second_order(x, d: int, p: int, H=None, I=None) -> SecondOrderEstim
         rho_hat=rho,
         a_hat=fit.a,
         T=T,
-        d=d,
+        d=sigma.size - 1,
         p=p,
         H=H,
         I=I,

@@ -25,6 +25,7 @@ from .bootstrap import (
     BootstrapDraws,
     InferenceReport,
     _make_bands,
+    _max_abs,
     _pinv_yule_walker,
 )
 from .dgp import ar_autocovariances
@@ -33,8 +34,8 @@ from .quantiles import ecdf_quantile
 from .rng import RngStream
 from .series import (
     TimeSeries,
-    _values,
-    ar_order_select_aic,
+    _check_order_range,
+    _order_select_aic,
     autocov_vector,
     estimate_second_order,
     normalize_lag_set,
@@ -92,13 +93,18 @@ def stabilize_ar(coefficients: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _fit_sieve(v: np.ndarray, p_max: int):
     """AIC order, stabilized coefficients, centered residual pool."""
-    p_fit = ar_order_select_aic(v, p_max)
+    _check_order_range(p_max, v.size)
+    return _fit_sieve_autocov(v, autocov_vector(v, p_max), p_max)
+
+
+def _fit_sieve_autocov(v: np.ndarray, sigma: np.ndarray, p_max: int):
+    """``_fit_sieve`` given the autocovariances of ``v`` at lags 0..>=p_max."""
+    p_fit = _order_select_aic(sigma, v.size, p_max)
     if p_fit == 0:
         coef = np.empty(0)
         shrink_steps = 0
         resid = v.copy()
     else:
-        sigma = autocov_vector(v, p_fit)
         coef = yule_walker_fit(sigma, p_fit).a
         coef, shrink_steps = stabilize_ar(coef)
         T = v.size
@@ -107,6 +113,62 @@ def _fit_sieve(v: np.ndarray, p_max: int):
             resid -= coef[j - 1] * v[p_fit - j : T - j]
     resid -= resid.mean()
     return p_fit, coef, shrink_steps, resid
+
+
+@dataclass(frozen=True)
+class _SieveWorld:
+    """The fitted model replicates are drawn from, and its second-order truth."""
+
+    p_fit: int
+    coef: np.ndarray
+    shrink_steps: int
+    pool: np.ndarray
+    innovation_variance: float
+    sigma: np.ndarray
+    rho: np.ndarray
+
+
+def _sieve_world(fit, d: int) -> _SieveWorld:
+    p_fit, coef, shrink_steps, pool = fit
+    v_boot = float(np.mean(pool * pool))
+    sigma_model = ar_autocovariances(coef, v_boot, d)
+    rho_model = sigma_model / sigma_model[0] if sigma_model[0] > 0 else np.zeros(d + 1)
+    return _SieveWorld(p_fit, coef, shrink_steps, pool, v_boot, sigma_model, rho_model)
+
+
+def _sieve_sigma_star(world: _SieveWorld, seed: int, B: int, burn_in: int, T: int, d: int) -> np.ndarray:
+    """Autocovariances at lags 0..d of replicates 1..B, one row each.
+
+    Replicate b resamples the pool with stream (seed, b), regenerates
+    burn_in + T values through the fitted recursion from zeros, and keeps
+    the last T.
+    """
+    denom = np.concatenate(([1.0], -world.coef))
+    pool = world.pool
+    out = np.empty((B, d + 1))
+    for b in range(1, B + 1):
+        g = RngStream(seed, b).generator()
+        resampled = pool[g.integers(0, pool.size, size=burn_in + T)]
+        xs = scipy.signal.lfilter([1.0], denom, resampled)[burn_in:] if world.coef.size else resampled[burn_in:]
+        out[b - 1] = autocov_vector(xs, d)
+    return out
+
+
+def _sieve_max_deviations(sigma_star, a_star, sigma_model, rho_model, a_model, H, I, T: int) -> tuple[np.ndarray, ...]:
+    """sqrt(T)-scaled max deviations of sieve replicates, one entry per row.
+
+    The centres are the fitted model's parameters: one vector, or one row
+    per replicate.
+    """
+    H = np.asarray(H)
+    I = np.asarray(I)
+    s0 = sigma_star[:, :1]
+    rho_star = np.divide(sigma_star, s0, out=np.zeros_like(sigma_star), where=s0 != 0.0)
+    return (
+        _max_abs(sigma_star[:, H] - sigma_model[..., H], T),
+        _max_abs(rho_star[:, I] - rho_model[..., I], T),
+        _max_abs(a_star - a_model, T),
+    )
 
 
 def ar_sieve_bootstrap(
@@ -133,38 +195,15 @@ def ar_sieve_bootstrap(
     H = normalize_lag_set(H, d, 0, "H")
     I = normalize_lag_set(I, d, 1, "I")
     est = estimate_second_order(v, d, p, H, I)
-    p_fit, coef, shrink_steps, pool = _fit_sieve(v, cfg.p_max)
-    if T <= max(d, p_fit):
-        raise ValueError(f"series of length {T} too short for fitted order {p_fit}")
+    world = _sieve_world(_fit_sieve(v, cfg.p_max), d)
+    if T <= max(d, world.p_fit):
+        raise ValueError(f"series of length {T} too short for fitted order {world.p_fit}")
 
-    # Bootstrap-world truth: second-order parameters of the fitted model.
-    v_boot = float(np.mean(pool * pool))
-    sigma_model = ar_autocovariances(coef, v_boot, d)
-    rho_model = sigma_model / sigma_model[0] if sigma_model[0] > 0 else np.zeros(d + 1)
-    a_model = _pinv_yule_walker(sigma_model, p)
-
-    H_idx = np.asarray(H)
-    I_idx = np.asarray(I)
-    sqrt_T = np.sqrt(T)
-    denom = np.concatenate(([1.0], -coef)) if coef.size else np.array([1.0])
-    n_gen = cfg.burn_in + T
-
-    B = cfg.B
-    delta_sigma = np.empty(B)
-    delta_rho = np.empty(B)
-    delta_a = np.empty(B)
-
-    for b in range(1, B + 1):
-        g = RngStream(cfg.seed, b).generator()
-        resampled = pool[g.integers(0, pool.size, size=n_gen)]
-        xs = scipy.signal.lfilter([1.0], denom, resampled)[cfg.burn_in :] if coef.size else resampled[cfg.burn_in :]
-        sigma_star = autocov_vector(xs, d)
-        rho_star = sigma_star / sigma_star[0] if sigma_star[0] != 0.0 else np.zeros(d + 1)
-        a_star = _pinv_yule_walker(sigma_star, p)
-        i = b - 1
-        delta_sigma[i] = sqrt_T * np.abs(sigma_star[H_idx] - sigma_model[H_idx]).max()
-        delta_rho[i] = sqrt_T * np.abs(rho_star[I_idx] - rho_model[I_idx]).max()
-        delta_a[i] = sqrt_T * np.abs(a_star - a_model).max()
+    sigma_star = _sieve_sigma_star(world, cfg.seed, cfg.B, cfg.burn_in, T, d)
+    a_all = _pinv_yule_walker(np.vstack([world.sigma, sigma_star]), p)
+    delta_sigma, delta_rho, delta_a = _sieve_max_deviations(
+        sigma_star, a_all[1:], world.sigma, world.rho, a_all[0], H, I, T
+    )
 
     draws = BootstrapDraws(delta_sigma=delta_sigma, delta_rho=delta_rho, delta_a=delta_a)
     level = 1.0 - cfg.alpha
@@ -183,14 +222,14 @@ def ar_sieve_bootstrap(
             "H": list(H),
             "I": list(I),
             "p_max": cfg.p_max,
-            "fitted_order": p_fit,
-            "shrink_steps": shrink_steps,
+            "fitted_order": world.p_fit,
+            "shrink_steps": world.shrink_steps,
             "B": cfg.B,
             "alpha": cfg.alpha,
             "seed": cfg.seed,
             "burn_in": cfg.burn_in,
-            "residual_pool_size": int(pool.size),
-            "innovation_variance": v_boot,
+            "residual_pool_size": int(world.pool.size),
+            "innovation_variance": world.innovation_variance,
         },
     )
     return report, draws

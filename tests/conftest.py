@@ -13,9 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from secondwild.harness import CoverageReport, Scenario, all_scenarios, coverage_study
-from secondwild.rng import RngStream
+from secondwild.bootstrap import BootstrapConfig, run_bootstrap
+from secondwild.dgp import DgpSpec, gen_series
+from secondwild.harness import (
+    TARGETS,
+    CoverageReport,
+    CoverageRow,
+    Scenario,
+    all_scenarios,
+    coverage_study,
+    true_autocovariances,
+)
+from secondwild.hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV
+from secondwild.kernels import BandwidthRule, select_bandwidth
+from secondwild.quantiles import ecdf_quantile
+from secondwild.rng import RngStream, derive_seed
+from secondwild.series import PINV_RCOND, ar_order_select_aic, estimate_second_order
+from secondwild.sieve import SieveConfig, ar_sieve_bootstrap
 
 ACCEPTANCE_SEED = 0
 
@@ -110,6 +126,85 @@ def brute_arcoef_rows(x, sigma_hat, B_matrix, p):
 
 def gaussian_K(t):
     return math.exp(-0.5 * t * t)
+
+
+def reference_pinv_yule_walker(sigma, p):
+    """Moore-Penrose Yule-Walker solve of one autocovariance vector."""
+    Sigma = scipy.linalg.toeplitz(sigma[:p])
+    pinv = np.linalg.pinv(Sigma, rcond=PINV_RCOND, hermitian=True)
+    return pinv @ sigma[1 : p + 1]
+
+
+def reference_coverage_study(
+    scenarios, T, reps, stream, mode="warp_speed", B=500, alpha=0.05, d=7,
+    H=(0, 1, 2, 3), I=(1, 2, 3, 4), p_max=7, methods=("wild", "sieve"), burn_in=1000,
+):
+    """``coverage_study`` one repetition at a time through the public API.
+
+    Every repetition simulates its series with ``gen_series``, estimates it,
+    and runs ``run_bootstrap`` and ``ar_sieve_bootstrap`` on it with the
+    harness's seeds, so the blocked study must reproduce its report bit for
+    bit.
+    """
+    scenarios = [s if isinstance(s, Scenario) else Scenario.parse(str(s)) for s in scenarios]
+    level = 1.0 - alpha
+    B_rep = 1 if mode == "warp_speed" else B
+    H_idx = np.asarray(sorted(H))
+    I_idx = np.asarray(sorted(I))
+    rows = []
+    for s_idx, scen in enumerate(scenarios):
+        sigma_true, approx = true_autocovariances(scen.model, scen.innovation, scen.rho, d)
+        rho_true = sigma_true / sigma_true[0]
+
+        def _series(seed):
+            return gen_series(DgpSpec(model=scen.model, innovation=scen.innovation, T=T,
+                                      rho=scen.rho, burn_in=burn_in, seed=seed))
+
+        pilot_orders = [
+            max(1, ar_order_select_aic(_series(derive_seed(stream.seed, (stream.stream_index, s_idx, i, 3))), p_max))
+            for i in range(11)
+        ]
+        p_scen = int(np.bincount(pilot_orders).argmax())
+        a_true = reference_pinv_yule_walker(sigma_true, p_scen)
+        stats = {t: np.empty(reps) for t in TARGETS}
+        draws = {m: {t: np.empty(reps) for t in TARGETS} for m in methods}
+        covered = {m: {t: np.empty(reps, dtype=bool) for t in TARGETS} for m in methods}
+        kts = np.empty(reps)
+        for r in range(reps):
+            series = _series(derive_seed(stream.seed, (stream.stream_index, s_idx, r, 0)))
+            k_T = select_bandwidth(series, BandwidthRule.auto())
+            kts[r] = k_T
+            est = estimate_second_order(series, d, p_scen, H_idx, I_idx)
+            stats[TARGET_AUTOCOV][r] = np.sqrt(T) * np.abs(est.sigma_hat[H_idx] - sigma_true[H_idx]).max()
+            stats[TARGET_AUTOCORR][r] = np.sqrt(T) * np.abs(est.rho_hat[I_idx] - rho_true[I_idx]).max()
+            stats[TARGET_ARCOEF][r] = np.sqrt(T) * np.abs(est.a_hat - a_true).max()
+            runs = {}
+            if "wild" in methods:
+                config = BootstrapConfig(
+                    d=d, p=p_scen, H=tuple(H_idx), I=tuple(I_idx), bandwidth=BandwidthRule.fixed(k_T),
+                    B=B_rep, alpha=alpha, seed=derive_seed(stream.seed, (stream.stream_index, s_idx, r, 1)),
+                )
+                runs["wild"] = run_bootstrap(series, config)
+            if "sieve" in methods:
+                cfg = SieveConfig(p_max=p_max, B=B_rep, alpha=alpha, burn_in=burn_in,
+                                  seed=derive_seed(stream.seed, (stream.stream_index, s_idx, r, 2)))
+                runs["sieve"] = ar_sieve_bootstrap(series, d, p_scen, H_idx, I_idx, cfg)
+            for method, (report, rep_draws) in runs.items():
+                for t in TARGETS:
+                    draws[method][t][r] = rep_draws.by_target()[t][0]
+                    covered[method][t][r] = stats[t][r] <= report.radii[t]
+        for method in methods:
+            for t in TARGETS:
+                if mode == "warp_speed":
+                    cov = float(np.mean(stats[t] <= ecdf_quantile(draws[method][t], level)))
+                else:
+                    cov = float(np.mean(covered[method][t]))
+                rows.append(CoverageRow(
+                    model=scen.model, innovation=scen.innovation.value, rho=scen.rho, target=t,
+                    method=method, coverage=cov, se=float(np.sqrt(cov * (1.0 - cov) / reps)),
+                    order=p_scen, mean_k_T=float(kts.mean()), reps=reps, T=T, truth_approximate=approx,
+                ))
+    return CoverageReport(rows=tuple(rows), T=T, reps=reps, alpha=alpha, mode=mode, B=B_rep, seed=stream.seed)
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_pinv_yule_walker
 from secondwild.bootstrap import (
     BootstrapConfig,
     BootstrapDraws,
+    _pinv_yule_walker,
     bootstrap_replicate,
     hypothesis_tests,
     multiplier_factor,
@@ -116,6 +118,22 @@ class TestReplicate:
         table = ResidualTable(rows=rows, d=1, T=T)
         with pytest.raises(DegenerateVarianceError):
             bootstrap_replicate(est, table, np.array([-1.0, 0.0, 0.0, 0.0]), 1, (1,))
+
+
+class TestStackedYuleWalker:
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_rows_equal_single_solves(self, p):
+        S = RngStream(71, p).generator().standard_normal((300, 8))
+        S[:, 0] = np.abs(S[:, 0]) + 1.0
+        S[:40, 0] *= -1.0  # sigma*_0 < 0
+        S[40:50] = 1.0  # all-ones Toeplitz, rank 1
+        S[50:55] = 0.0
+        S[55:60, 1:] = S[55:60, :1]  # rank 1 again, from varying scales
+        stacked = _pinv_yule_walker(S, p)
+        assert stacked.shape == (300, p)
+        for row, a in zip(S, stacked):
+            assert np.array_equal(a, reference_pinv_yule_walker(row, p))
+            assert np.array_equal(_pinv_yule_walker(row, p), a)
 
 
 class TestRunBootstrap:

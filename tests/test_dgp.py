@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import secondwild.dgp as dgp_mod
 from secondwild.dgp import (
+    MODELS,
     DgpSpec,
     InnovationKind,
     ar_autocovariances,
     gen_innovations,
     gen_series,
+    gen_series_block,
     ma_autocovariances,
     model_autocovariances,
+    nlar2_path,
     parse_innovation,
 )
 from secondwild.rng import RngStream, derive_seed
@@ -143,3 +149,35 @@ class TestModelAutocovariances:
         )
         with pytest.raises(ValueError):
             model_autocovariances("nlar2", 0.9, 2)
+
+
+class TestSeriesBlock:
+    @pytest.mark.parametrize("kind", list(InnovationKind))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_equal_gen_series(self, model, kind):
+        spec = DgpSpec(model, kind, T=50, burn_in=100, rho=0.7)
+        seeds = [derive_seed(61, (i,)) for i in range(8)]
+        block = gen_series_block(spec, seeds)
+        assert block.shape == (8, 50)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, gen_series(replace(spec, seed=seed)).values)
+
+    def test_nlar2_stack_equals_scalar_loop(self):
+        eps = 2.0 * RngStream(67).generator().standard_normal((8, 500))
+        stacked = nlar2_path(eps)
+        for row, e in zip(stacked, eps):
+            assert np.array_equal(row, nlar2_path(e))
+        assert np.array_equal(nlar2_path(eps[:1]), stacked[:1])
+
+    def test_non_finite_value_rejected(self, monkeypatch):
+        real = dgp_mod.gen_innovations
+
+        def _with_inf(kind, n, stream):
+            out = real(kind, n, stream)
+            if stream.seed == 2:
+                out[-3] = np.inf
+            return out
+
+        monkeypatch.setattr(dgp_mod, "gen_innovations", _with_inf)
+        with pytest.raises(ValueError, match="series 1 contains a non-finite value at position 47"):
+            gen_series_block(DgpSpec("ma3", "independent", T=50, burn_in=100), [1, 2, 3])

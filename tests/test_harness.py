@@ -1,7 +1,16 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from secondwild.dgp import DgpSpec
+import secondwild.harness as harness_mod
+from conftest import reference_coverage_study
+from secondwild._nlar2_truth import NLAR2_TRUTH_AUTOCOV
+from secondwild.dgp import DgpSpec, InnovationKind
 from secondwild.harness import (
     CoverageReport,
     CoverageRow,
@@ -42,6 +51,42 @@ class TestTruth:
         gamma, _ = true_autocovariances("ar1", "product", 0.7, 3)
         for k in range(4):
             assert gamma[k] == pytest.approx(0.7**k / 0.51, rel=1e-12)
+
+
+class TestNlar2Truth:
+    def test_stored_values_equal_simulation(self):
+        # recomputed in a fresh interpreter with BLAS on one thread, as
+        # scripts/generate_nlar2_truth.py runs: a threaded dot product over
+        # 10^7 terms rounds differently
+        code = (
+            "from secondwild.dgp import InnovationKind\n"
+            "from secondwild.harness import _nlar2_simulated_autocov\n"
+            "print(repr(_nlar2_simulated_autocov(InnovationKind.INDEPENDENT, 64)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(harness_mod.__file__).parents[1]))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True
+        )
+        stored = NLAR2_TRUTH_AUTOCOV["independent"]
+        assert len(stored) == 65
+        assert ast.literal_eval(done.stdout) == stored
+
+    def test_longer_lags_simulate(self, monkeypatch):
+        calls = []
+
+        def _fake(kind, max_lag):
+            calls.append(max_lag)
+            return tuple(float(j) for j in range(max_lag + 1))
+
+        monkeypatch.setattr(harness_mod, "_nlar2_simulated_autocov", _fake)
+        plugin = harness_mod._nlar2_plugin_autocov.__wrapped__
+        for kind in InnovationKind:
+            assert plugin(kind, 7) == NLAR2_TRUTH_AUTOCOV[kind.value][:8]
+            assert plugin(kind, 64) == NLAR2_TRUTH_AUTOCOV[kind.value]
+        assert calls == []
+        assert plugin(InnovationKind.INDEPENDENT, 65) == tuple(float(j) for j in range(66))
+        assert calls == [65]
 
 
 class TestVarianceStudy:
@@ -135,6 +180,19 @@ class TestCoverageStudy:
             coverage_study(["ar1:independent"], T=200, reps=100, stream=RngStream(0), methods=("boot",))
         with pytest.raises(ValueError):
             coverage_study(["ar1:independent"], T=200, reps=100, stream=RngStream(0), p_max=9)
+
+    @pytest.mark.parametrize("mode", ["warp_speed", "full"])
+    def test_blocked_study_equals_per_repetition_reference(self, mode, monkeypatch):
+        scenarios = [
+            Scenario.parse(s)
+            for s in ("ar1:product", "ar4:non_stationary", "ma3:independent", "nlar2:independent")
+        ]
+        kwargs = dict(T=200, reps=100, stream=RngStream(29), mode=mode, B=50, methods=("wild", "sieve"))
+        expected = reference_coverage_study(scenarios, **kwargs).to_csv()
+        for threads in (1, 2):
+            assert coverage_study(scenarios, threads=threads, **kwargs).to_csv() == expected
+        monkeypatch.setattr(harness_mod, "_BLOCK", 40)  # blocks of 40 (warp) or 1 (full) repetitions
+        assert coverage_study(scenarios, threads=2, **kwargs).to_csv() == expected
 
     def test_warp_speed_agrees_with_full_mode(self):
         # Both Monte Carlo designs estimate the same coverage: reps=2000
