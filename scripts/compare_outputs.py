@@ -33,11 +33,15 @@ RUN_CLI = "import sys; from secondwild.cli import main; sys.exit(main(sys.argv[1
 UNTIMED_MANIFEST_KEYS = ("execution", "created_utc", "wall_clock_s")
 
 # (name, arguments): "{input}" is the one input series both sides read,
-# "{out}" the command's own output directory.
+# "{out}" the command's own output directory.  The "-threads" commands
+# repeat a command with --threads: older revisions honoured it with a
+# thread pool, so against such a base they show that pooled and serial
+# runs write the same bytes.
 COMMANDS = (
     ("simulate", ["simulate", "--model", "ar2", "--innovation", "product", "--T", "1000", "--seed", "3",
                   "--out", "{out}/series.csv"]),
     ("analyze", ["analyze", "{input}", "--B", "500", "--seed", "1", "--out", "{out}"]),
+    ("analyze-threads", ["analyze", "{input}", "--B", "500", "--seed", "1", "--threads", "3", "--out", "{out}"]),
     ("test-null-zero", ["test", "{input}", "--null-zero", "--B", "500", "--seed", "2", "--out", "{out}"]),
     ("analyze-plugin", ["analyze", "{input}", "--band-method", "plugin", "--n-mc", "20000", "--seed", "3",
                         "--out", "{out}"]),
@@ -47,6 +51,9 @@ COMMANDS = (
     ("coverage-full", ["coverage", "--scenario", "ar4:non_stationary", "--scenario", "nlar2:independent",
                        "--T", "200", "--reps", "100", "--mode", "full", "--B", "50", "--method", "both",
                        "--seed", "5", "--out", "{out}"]),
+    ("coverage-full-threads", ["coverage", "--scenario", "ar4:non_stationary", "--scenario", "nlar2:independent",
+                               "--T", "200", "--reps", "100", "--mode", "full", "--B", "50", "--method", "both",
+                               "--seed", "5", "--threads", "2", "--out", "{out}"]),
     ("variance-study", ["variance-study", "--n", "1000", "--reps", "200", "--seed", "6", "--out", "{out}"]),
     ("approx-check", ["approx-check", "--model", "nlar2", "--T", "200", "--reps", "1000",
                       "--n-oracle", "20000", "--truth-length", "100000", "--seed", "7", "--out", "{out}"]),

@@ -13,15 +13,17 @@ quantiles of the replicate max statistics:
                    a* from the Moore-Penrose Yule-Walker solve on sigma*
     4. quantiles   of sqrt(T) max-deviations over B replicates
     5. bands       estimate +- radius / sqrt(T), or threshold tests.
+
+Replicate b draws its multipliers from stream (seed, b).  The replicates
+run serially on one thread; ``_wild_sigma_star`` draws them for both
+``run_bootstrap`` and the coverage study.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,8 +50,8 @@ from .series import (
     second_order_residual_matrix,
 )
 
-# Replicates are processed in fixed-size chunks so that results do not
-# depend on the number of worker threads.
+# Replicates are drawn in chunks of this many, so the T x _CHUNK block of
+# multipliers they share stays small at any B.
 _CHUNK = 64
 
 TARGETS = (TARGET_AUTOCOV, TARGET_AUTOCORR, TARGET_ARCOEF)
@@ -273,23 +275,13 @@ def multiplier_factor(T: int, k_T: float) -> PsdFactor:
     return factorize_psd(kernel_gram(T, k_T))
 
 
-def run_bootstrap(
-    x,
-    config: BootstrapConfig,
-    threads: int = 1,
-    multiplier_override: Optional[Callable[[int, int], np.ndarray]] = None,
-) -> tuple[InferenceReport, BootstrapDraws]:
+def run_bootstrap(x, config: BootstrapConfig) -> tuple[InferenceReport, BootstrapDraws]:
     """Execute the full bootstrap and assemble the inference report.
 
     Replicate b draws its multipliers from stream (seed, b), so the result
-    is a pure function of (x, config) no matter how many threads run the
-    replicate loop.  ``multiplier_override`` is a test hook mapping
-    (replicate index, T) to a multiplier vector, bypassing the Gaussian
-    draw.
-
-    A replicate whose sigma*_0 is exactly zero is redrawn once from stream
-    (seed, B + b); a second failure aborts.  Occurrences are counted in the
-    report provenance.
+    is a pure function of (x, config).  A replicate whose sigma*_0 is
+    exactly zero is redrawn once from stream (seed, B + b); a second
+    failure aborts.  Occurrences are counted in the report provenance.
     """
     series = x if isinstance(x, TimeSeries) else TimeSeries.from_values(x)
     v = series.values
@@ -297,41 +289,15 @@ def run_bootstrap(
     if T <= config.d:
         raise ValueError(f"series of length {T} too short for maximum lag {config.d}")
     est = estimate_second_order(v, config.d, config.p, config.H, config.I)
-    residuals = second_order_residuals(v, est, config.d)
+    rows = second_order_residual_matrix(v, est.sigma_hat, config.d)
     k_T = select_bandwidth(v, config.bandwidth)
-    factor = multiplier_factor(T, k_T) if multiplier_override is None else None
-
-    B = config.B
-    delta_sigma = np.empty(B)
-    delta_rho = np.empty(B)
-    delta_a = np.empty(B)
-    degenerate = [0]
-    degenerate_lock = threading.Lock()
-
-    def _multipliers(b: int) -> np.ndarray:
-        if multiplier_override is not None:
-            return np.asarray(multiplier_override(b, T), dtype=float)
-        return _gaussian_multipliers(factor, config.seed, b)
-
-    def _run_chunk(start: int) -> None:
-        stop = min(start + _CHUNK, B)
-        deltas, sigma_star, redrawn = _wild_chunk(est.sigma_hat, residuals.rows, _multipliers, B, start, stop)
-        a_star = _pinv_yule_walker(sigma_star, config.p)
-        delta_sigma[start:stop], delta_rho[start:stop], delta_a[start:stop] = _wild_max_deviations(
-            deltas, sigma_star, a_star, est.rho_hat, est.a_hat, config.H, config.I, T
-        )
-        with degenerate_lock:
-            degenerate[0] += redrawn
-
-    starts = range(0, B, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_run_chunk, starts))
-    else:
-        for start in starts:
-            _run_chunk(start)
-
-    draws = BootstrapDraws(delta_sigma=delta_sigma, delta_rho=delta_rho, delta_a=delta_a)
+    deltas, sigma_star, degenerate = _wild_sigma_star(
+        est.sigma_hat, rows, multiplier_factor(T, k_T), config.seed, config.B
+    )
+    a_star = _pinv_yule_walker(sigma_star, config.p)
+    draws = BootstrapDraws(
+        *_wild_max_deviations(deltas, sigma_star, a_star, est.rho_hat, est.a_hat, config.H, config.I, T)
+    )
     level = 1.0 - config.alpha
     radii = {target: ecdf_quantile(values, level) for target, values in draws.by_target().items()}
     report = InferenceReport(
@@ -342,7 +308,7 @@ def run_bootstrap(
         alpha=config.alpha,
         seed=config.seed,
         method="wild_bootstrap",
-        provenance=_provenance(config, k_T, degenerate[0], est),
+        provenance=_provenance(config, k_T, degenerate, est),
     )
     return report, draws
 
@@ -353,31 +319,30 @@ def _gaussian_multipliers(factor: PsdFactor, seed: int, b: int) -> np.ndarray:
     return factor.L @ z
 
 
-def _wild_chunk(
-    sigma_hat: np.ndarray,
-    rows: np.ndarray,
-    multipliers: Callable[[int], np.ndarray],
-    B: int,
-    start: int,
-    stop: int,
+def _wild_sigma_star(
+    sigma_hat: np.ndarray, rows: np.ndarray, factor: PsdFactor, seed: int, B: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Replicates start+1..stop of the wild bootstrap, one row each.
+    """Wild replicates 1..B, one row each.
 
     Returns the perturbations delta = rows @ e / T, sigma* = sigma_hat + delta
-    and the number of redrawn replicates.  A replicate whose sigma*_0 is
-    exactly zero is redrawn once from multipliers(B + b); a second failure
-    raises ``NumericalError``.
+    and the number of redrawn replicates.  Replicate b's multipliers e come
+    from stream (seed, b); one whose sigma*_0 is exactly zero is redrawn
+    once from stream (seed, B + b), and a second failure raises
+    ``NumericalError``.
     """
     T = rows.shape[1]
-    eps = np.empty((T, stop - start))
-    for offset, b in enumerate(range(start + 1, stop + 1)):
-        eps[:, offset] = multipliers(b)
-    deltas = (rows @ eps / T).T
+    deltas = np.empty((B, rows.shape[0]))
+    for start in range(0, B, _CHUNK):
+        stop = min(start + _CHUNK, B)
+        eps = np.empty((T, stop - start))
+        for offset, b in enumerate(range(start + 1, stop + 1)):
+            eps[:, offset] = _gaussian_multipliers(factor, seed, b)
+        deltas[start:stop] = (rows @ eps / T).T
     sigma_star = sigma_hat + deltas
     degenerate = np.flatnonzero(sigma_star[:, 0] == 0.0)
     for i in degenerate:
-        b = start + 1 + int(i)
-        delta = rows @ multipliers(B + b) / T
+        b = int(i) + 1
+        delta = rows @ _gaussian_multipliers(factor, seed, B + b) / T
         redrawn = sigma_hat + delta
         if redrawn[0] == 0.0:
             raise NumericalError(f"replicate {b} degenerate (sigma*_0 = 0) after one redraw")

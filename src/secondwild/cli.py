@@ -8,8 +8,9 @@ and replayed:
     secondwild --replay out/manifest.json --out elsewhere
 
 reproduces the result files byte for byte.  Execution details that cannot
-change results (output directory, thread count, wall-clock) live only in
-``manifest.json``.
+change results (output directory, wall-clock) live only in
+``manifest.json``.  ``--threads`` is accepted and ignored: every command
+runs on one thread, and BLAS is the only parallelism.
 
 Exit codes: 0 success, 2 usage or input errors, 3 numerical failure.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -53,6 +53,7 @@ from .series import TimeSeries
 TABLE_DEFAULT_D = 7
 TABLE_DEFAULT_H = "0-3"
 TABLE_DEFAULT_I = "1-4"
+_THREADS_HELP = "accepted and ignored; runs are serial and BLAS is the only parallelism"
 
 
 @dataclass
@@ -152,18 +153,6 @@ def read_series_csv(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _threads(value: Optional[int]) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("SECONDWILD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InputDataError(f"SECONDWILD_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -200,7 +189,7 @@ def _load_series(opts: dict) -> TimeSeries:
     return TimeSeries.from_values(values, center=opts["center"])
 
 
-def _analyze_report(opts: dict, threads: int) -> tuple[InferenceReport, object]:
+def _analyze_report(opts: dict) -> tuple[InferenceReport, object]:
     from .series import ar_order_select_aic
 
     series = _load_series(opts)
@@ -214,7 +203,7 @@ def _analyze_report(opts: dict, threads: int) -> tuple[InferenceReport, object]:
         report = run_plugin(series, config, n_mc=opts["n_mc"])
         draws = None
     else:
-        report, draws = run_bootstrap(series, config, threads=threads)
+        report, draws = run_bootstrap(series, config)
     return report, draws
 
 
@@ -244,9 +233,8 @@ def _format_report_table(report: InferenceReport) -> str:
 def cmd_analyze(opts: dict, execution: dict) -> None:
     started = time.perf_counter()
     out_dir = Path(execution["out"])
-    threads = execution["threads"]
     manifest = _manifest("analyze", opts, execution)
-    report, _ = _analyze_report(opts, threads)
+    report, _ = _analyze_report(opts)
     payload = {"manifest": manifest.reproducible(), "report": report.to_dict()}
     _write_json(out_dir / "report.json", payload)
     sys.stdout.write(_format_report_table(report))
@@ -282,12 +270,11 @@ def _read_null(opts: dict) -> Optional[dict]:
 def cmd_test(opts: dict, execution: dict) -> None:
     started = time.perf_counter()
     out_dir = Path(execution["out"])
-    threads = execution["threads"]
     manifest = _manifest("test", opts, execution)
     if opts["band_method"] == "plugin":
         raise InputDataError("hypothesis tests require the bootstrap band method")
     null = _read_null(opts)
-    report, draws = _analyze_report(opts, threads)
+    report, draws = _analyze_report(opts)
     if null is None:
         est = report.estimates
         null = {"sigma_e": np.zeros(len(est.H)), "rho_e": np.zeros(len(est.I))}
@@ -366,7 +353,6 @@ def cmd_coverage(opts: dict, execution: dict) -> None:
         p_max=opts["p_max"],
         methods=methods,
         burn_in=opts["burn_in"],
-        threads=execution["threads"],
     )
     embed = json.dumps(manifest.reproducible(), sort_keys=True)
     _write_text(out_dir / "coverage.csv", f"# manifest: {embed}\n" + report.to_csv())
@@ -464,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="simultaneous confidence bands for one series")
     _add_analyze_options(p)
     p.add_argument("--out", default=".", help="output directory (default .)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("test", help="threshold hypothesis tests for one series")
     _add_analyze_options(p)
@@ -472,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null-zero", dest="null_zero", action="store_true",
                    help="test sigma_j = 0 and rho_j = 0 over H and I")
     p.add_argument("--out", default=".", help="output directory (default .)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("simulate", help="emit one simulated series as CSV")
     p.add_argument("--model", required=True, choices=list(MODELS))
@@ -507,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("approx-check", help="KS distance of max-deviation roots from the Gaussian-max oracle")
     p.add_argument("--model", default="ar1", choices=list(MODELS))
@@ -589,8 +575,6 @@ def main(argv=None) -> int:
             return 2
         options = {key: getattr(args, key) for key in _OPTION_KEYS[args.subcommand]}
         execution = {"out": getattr(args, "out", ".")}
-        if hasattr(args, "threads"):
-            execution["threads"] = _threads(args.threads)
         _dispatch(args.subcommand, options, execution)
         return 0
     except (InputDataError, ValueError) as exc:

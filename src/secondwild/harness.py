@@ -7,11 +7,13 @@ repetition, pools those draws into a single quantile per scenario, and
 counts how many repetitions' max-deviation statistics fall inside the
 pooled band.
 
-Repetitions run in blocks of up to 256 (in full mode, of at most 256
-replicates per method).  Each repetition still draws from its own
+Repetitions run serially, in blocks of up to 256 (in full mode, of at
+most 256 replicates per method).  Each repetition still draws from its own
 ``derive_seed`` streams, but the block is simulated in one pass
 (``gen_series_block``), each series' correlogram is computed once and
-feeds the bandwidth rule, the estimates and the sieve's AIC, and every
+feeds the bandwidth rule, the estimates and the sieve's AIC, the
+replicates come from ``_wild_sigma_star`` and ``_sieve_sigma_star`` (which
+``run_bootstrap`` and ``ar_sieve_bootstrap`` also call), and every
 Yule-Walker finish of the block (wild and sieve replicates, sieve model
 truths) goes through one stacked pseudo-inverse.  Each of these steps
 repeats the arithmetic of the one-repetition-at-a-time path, so reports
@@ -29,22 +31,19 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import scipy.stats
 
 from ._nlar2_truth import NLAR2_TRUTH_AUTOCOV
 from .bootstrap import (
-    _CHUNK,
     BootstrapConfig,
     BootstrapDraws,
-    _gaussian_multipliers,
     _pinv_yule_walker,
-    _wild_chunk,
     _wild_max_deviations,
+    _wild_sigma_star,
     multiplier_factor,
 )
 from .dgp import MODELS, DgpSpec, InnovationKind, gen_series, gen_series_block, model_autocovariances, parse_innovation
@@ -326,6 +325,9 @@ def coverage_study(
     In ``warp_speed`` mode each repetition contributes a single bootstrap
     draw and the quantile is taken over the pooled draws; in ``full`` mode
     each repetition runs B replicates and uses its own quantile.
+
+    ``threads`` is accepted and ignored: the study runs on one thread, and
+    BLAS is its only parallelism.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -376,7 +378,7 @@ def coverage_study(
                     for r, values in zip(block, per_rep):
                         covered[method][t][r] = stats[t][r] <= ecdf_quantile(values, level)
 
-        def _run_block(block: range) -> None:
+        for block in _blocks(reps, block_size):
             seeds = [derive_seed(stream.seed, (stream.stream_index, s_idx, r, 0)) for r in block]
             ests, wild_deltas, wild_sigma, worlds, sieve_sigma = [], [], [], [], []
             for r, v in zip(block, gen_series_block(spec, seeds)):
@@ -391,20 +393,18 @@ def coverage_study(
                 if "wild" in methods:
                     residuals = second_order_residual_matrix(v, est.sigma_hat, d)
                     seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 1))
-                    multipliers = partial(_gaussian_multipliers, multiplier_factor(T, k_T), seed)
-                    for start in range(0, B_rep, _CHUNK):
-                        deltas, sigma_star, _ = _wild_chunk(
-                            est.sigma_hat, residuals, multipliers, B_rep, start, min(start + _CHUNK, B_rep)
-                        )
-                        wild_deltas.append(deltas)
-                        wild_sigma.append(sigma_star)
+                    deltas, sigma_star, _ = _wild_sigma_star(
+                        est.sigma_hat, residuals, multiplier_factor(T, k_T), seed, B_rep
+                    )
+                    wild_deltas.append(deltas)
+                    wild_sigma.append(sigma_star)
                 if "sieve" in methods:
                     world = _sieve_world(_fit_sieve_autocov(v, sigma, p_max), d)
                     worlds.append(world)
                     seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 2))
                     sieve_sigma.append(_sieve_sigma_star(world, seed, B_rep, burn_in, T, d))
             if not methods:
-                return
+                continue
             # One stacked Yule-Walker solve finishes the block: wild
             # replicates, then sieve model truths, then sieve replicates.
             model_sigma = [w.sigma for w in worlds]
@@ -429,14 +429,6 @@ def coverage_study(
                     np.repeat(a_model, B_rep, axis=0),
                     H, I, T,
                 ))
-
-        blocks = list(_blocks(reps, block_size))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(_run_block, blocks))
-        else:
-            for block in blocks:
-                _run_block(block)
 
         mean_kt = float(kts.mean())
         for method in methods:

@@ -232,6 +232,5 @@ def full_coverage_report() -> TimedCoverage:
         stream=RngStream(ACCEPTANCE_SEED),
         mode="warp_speed",
         alpha=0.05,
-        threads=2,
     )
     return TimedCoverage(report=report, wall_s=time.perf_counter() - started)

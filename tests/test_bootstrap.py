@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import secondwild.bootstrap as bootstrap_mod
 from conftest import reference_pinv_yule_walker
 from secondwild.bootstrap import (
     BootstrapConfig,
@@ -137,21 +138,22 @@ class TestStackedYuleWalker:
 
 
 class TestRunBootstrap:
-    def test_zero_override_collapses_bands(self):
+    def test_zero_override_collapses_bands(self, monkeypatch):
         x = _series(5)
         cfg = BootstrapConfig(B=1, seed=1, bandwidth=BandwidthRule.fixed(4.0), **CFG)
-        report, draws = run_bootstrap(x, cfg, multiplier_override=lambda b, T: np.zeros(T))
+        monkeypatch.setattr(bootstrap_mod, "_gaussian_multipliers", lambda factor, seed, b: np.zeros(factor.dim))
+        report, draws = run_bootstrap(x, cfg)
         assert all(r == 0.0 for r in report.radii.values())
         for band in report.bands.values():
             assert band.lower == pytest.approx(band.estimate)
             assert band.upper == pytest.approx(band.estimate)
         assert np.all(draws.delta_sigma == 0.0)
 
-    def test_deterministic_and_thread_independent(self):
+    def test_rerun_deterministic(self):
         x = _series(6)
         cfg = BootstrapConfig(B=300, seed=9, **CFG)
-        r1, d1 = run_bootstrap(x, cfg, threads=1)
-        r2, d2 = run_bootstrap(x, cfg, threads=3)
+        r1, d1 = run_bootstrap(x, cfg)
+        r2, d2 = run_bootstrap(x, cfg)
         assert r1.to_dict() == r2.to_dict()
         assert np.array_equal(d1.delta_a, d2.delta_a)
         assert np.array_equal(d1.delta_rho, d2.delta_rho)
@@ -164,7 +166,7 @@ class TestRunBootstrap:
         for t in r10.radii:
             assert r10.radii[t] <= r05.radii[t]
 
-    def test_degenerate_replicate_redrawn_then_fatal(self):
+    def test_degenerate_replicate_redrawn_then_fatal(self, monkeypatch):
         x = _series(8, T=64)
         est = estimate_second_order(x, 2, 1, (0, 1), (1,))
         sigma0 = est.sigma_hat[0]
@@ -175,12 +177,14 @@ class TestRunBootstrap:
         bad[0] = -sigma0 * 64.0 / row0[0]
         assert sigma0 + row0 @ bad / 64.0 == 0.0
         cfg = BootstrapConfig(d=2, p=1, H=(0, 1), I=(1,), B=1, seed=1, bandwidth=BandwidthRule.fixed(2.0))
-        report, _ = run_bootstrap(
-            x, cfg, multiplier_override=lambda b, T: bad if b == 1 else np.zeros(T)
+        monkeypatch.setattr(
+            bootstrap_mod, "_gaussian_multipliers", lambda factor, seed, b: bad if b == 1 else np.zeros(factor.dim)
         )
+        report, _ = run_bootstrap(x, cfg)
         assert report.provenance["degenerate_resamples"] == 1
+        monkeypatch.setattr(bootstrap_mod, "_gaussian_multipliers", lambda factor, seed, b: bad)
         with pytest.raises(NumericalError):
-            run_bootstrap(x, cfg, multiplier_override=lambda b, T: bad)
+            run_bootstrap(x, cfg)
 
     def test_conditional_covariance_smoke(self):
         # the bootstrap covariance of sqrt(T) sigma* equals the kernel

@@ -126,13 +126,24 @@ class TestAnalyze:
         bands = payload["report"]["bands"]
         assert set(bands) == {"autocovariance", "autocorrelation", "ar_coefficients"}
 
-    def test_threads_do_not_change_bytes(self, series_file, tmp_path):
-        out1 = tmp_path / "t1"
-        out3 = tmp_path / "t3"
-        base = ["analyze", series_file, "--B", "300", "--seed", "4"]
-        assert _run(base + ["--out", out1, "--threads", "1"]) == 0
-        assert _run(base + ["--out", out3, "--threads", "3"]) == 0
-        assert (out1 / "report.json").read_bytes() == (out3 / "report.json").read_bytes()
+    @pytest.mark.parametrize(
+        "args, results",
+        [
+            (["analyze", "{series}", "--B", "300", "--seed", "4"], ["report.json"]),
+            (["test", "{series}", "--null-zero", "--B", "300", "--seed", "4"], ["decisions.json"]),
+            (["coverage", "--scenario", "ma3:independent", "--T", "200", "--reps", "100", "--seed", "4"],
+             ["coverage.csv", "coverage.json"]),
+        ],
+        ids=["analyze", "test", "coverage"],
+    )
+    def test_threads_do_not_change_bytes(self, series_file, tmp_path, args, results):
+        # --threads is accepted and ignored; bench/run.py passes it
+        base = [series_file if a == "{series}" else a for a in args]
+        plain, threaded = tmp_path / "plain", tmp_path / "t3"
+        assert _run(base + ["--out", plain]) == 0
+        assert _run(base + ["--out", threaded, "--threads", "3"]) == 0
+        for name in results:
+            assert (plain / name).read_bytes() == (threaded / name).read_bytes()
 
     def test_config_contradiction_exit_2(self, series_file, tmp_path):
         assert _run(["analyze", series_file, "--p", "9", "--d", "7", "--out", tmp_path]) == 2

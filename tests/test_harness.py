@@ -123,7 +123,6 @@ class TestCoverageStudy:
             T=300,
             reps=100,
             stream=RngStream(3),
-            threads=2,
         )
         text = rep.to_csv()
         back = CoverageReport.from_csv(
@@ -153,10 +152,10 @@ class TestCoverageStudy:
         with pytest.raises(KeyError, match=r"rho=0\.5"):
             rep.row("ar1", "product", TARGET_ARCOEF, "sieve", rho=0.5)
 
-    def test_deterministic_and_thread_independent(self):
+    def test_rerun_deterministic(self):
         kwargs = dict(T=250, reps=100, stream=RngStream(7))
-        a = coverage_study([Scenario.parse("ma3:independent")], threads=1, **kwargs)
-        b = coverage_study([Scenario.parse("ma3:independent")], threads=2, **kwargs)
+        a = coverage_study([Scenario.parse("ma3:independent")], **kwargs)
+        b = coverage_study([Scenario.parse("ma3:independent")], **kwargs)
         assert a == b
 
     def test_alpha_near_one_collapses_coverage(self):
@@ -189,10 +188,9 @@ class TestCoverageStudy:
         ]
         kwargs = dict(T=200, reps=100, stream=RngStream(29), mode=mode, B=50, methods=("wild", "sieve"))
         expected = reference_coverage_study(scenarios, **kwargs).to_csv()
-        for threads in (1, 2):
-            assert coverage_study(scenarios, threads=threads, **kwargs).to_csv() == expected
+        assert coverage_study(scenarios, **kwargs).to_csv() == expected
         monkeypatch.setattr(harness_mod, "_BLOCK", 40)  # blocks of 40 (warp) or 1 (full) repetitions
-        assert coverage_study(scenarios, threads=2, **kwargs).to_csv() == expected
+        assert coverage_study(scenarios, **kwargs).to_csv() == expected
 
     def test_warp_speed_agrees_with_full_mode(self):
         # Both Monte Carlo designs estimate the same coverage: reps=2000
@@ -205,12 +203,10 @@ class TestCoverageStudy:
         # where the bootstrap is valid.
         scen = [Scenario(model="ar1", innovation="independent", rho=0.5)]
         warp = coverage_study(
-            scen, T=500, reps=2000, stream=RngStream(13), mode="warp_speed",
-            methods=("wild",), threads=2,
+            scen, T=500, reps=2000, stream=RngStream(13), mode="warp_speed", methods=("wild",),
         )
         full = coverage_study(
-            scen, T=500, reps=2000, stream=RngStream(13), mode="full", B=500,
-            methods=("wild",), threads=2,
+            scen, T=500, reps=2000, stream=RngStream(13), mode="full", B=500, methods=("wild",),
         )
         for t in (TARGET_AUTOCOV, TARGET_AUTOCORR, TARGET_ARCOEF):
             cw = warp.row("ar1", "independent", t, "wild").coverage
