@@ -14,14 +14,11 @@ from .bootstrap import (
     BootstrapDraws,
     FamilyBand,
     InferenceReport,
-    ResidualTable,
     TestResult,
-    bootstrap_replicate,
     hypothesis_tests,
     multiplier_factor,
     run_bootstrap,
     run_plugin,
-    second_order_residuals,
 )
 from .dgp import (
     DgpSpec,
@@ -39,7 +36,6 @@ from .hac import (
     TARGET_ARCOEF,
     TARGET_AUTOCORR,
     TARGET_AUTOCOV,
-    LongRunCov,
     hac_arcoef_cov,
     hac_autocorr_cov,
     hac_autocov_cov,
@@ -60,16 +56,12 @@ from .kernels import BandwidthRule, kernel_eval, kernel_gram, select_bandwidth
 from .quantiles import ecdf_pvalue, ecdf_quantile
 from .rng import RngStream, derive_seed
 from .series import (
-    ARLinearization,
     SecondOrderEstimates,
-    TimeSeries,
     YuleWalkerFit,
     ar_order_select_aic,
     autocov_vector,
     estimate_second_order,
     linearization_matrix,
-    sample_autocorr,
-    sample_autocov,
     yule_walker_fit,
 )
 from .sieve import SieveConfig, ar_sieve_bootstrap, stabilize_ar
@@ -77,7 +69,6 @@ from .sieve import SieveConfig, ar_sieve_bootstrap, stabilize_ar
 __version__ = "0.1.1"
 
 __all__ = [
-    "ARLinearization",
     "ApproxCheckReport",
     "BandwidthRule",
     "BootstrapConfig",
@@ -90,11 +81,9 @@ __all__ = [
     "InferenceReport",
     "InnovationKind",
     "InputDataError",
-    "LongRunCov",
     "NotPsdError",
     "NumericalError",
     "PsdFactor",
-    "ResidualTable",
     "RngStream",
     "Scenario",
     "SecondOrderEstimates",
@@ -103,7 +92,6 @@ __all__ = [
     "TARGET_AUTOCORR",
     "TARGET_AUTOCOV",
     "TestResult",
-    "TimeSeries",
     "VarianceStudyReport",
     "YuleWalkerFit",
     "all_scenarios",
@@ -111,7 +99,6 @@ __all__ = [
     "ar_order_select_aic",
     "ar_sieve_bootstrap",
     "autocov_vector",
-    "bootstrap_replicate",
     "coverage_study",
     "derive_seed",
     "ecdf_pvalue",
@@ -135,9 +122,6 @@ __all__ = [
     "multiplier_factor",
     "run_bootstrap",
     "run_plugin",
-    "sample_autocorr",
-    "sample_autocov",
-    "second_order_residuals",
     "select_bandwidth",
     "stabilize_ar",
     "true_autocovariances",

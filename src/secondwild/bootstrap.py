@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, NumericalError
+from .errors import NumericalError
 from .gaussian import PsdFactor, factorize_psd, gaussian_max_quantile
 from .hac import (
     TARGET_ARCOEF,
@@ -43,7 +43,6 @@ from .rng import RngStream
 from .series import (
     PINV_RCOND,
     SecondOrderEstimates,
-    TimeSeries,
     _values,
     estimate_second_order,
     normalize_lag_set,
@@ -85,40 +84,6 @@ class BootstrapConfig:
             raise ValueError(f"replicate count B must be >= 1, got {self.B}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-    @classmethod
-    def table_defaults(cls, **overrides) -> "BootstrapConfig":
-        """The default experiment layout: d=7, H={0..3}, I={1..4}, p=1."""
-        base = dict(d=7, p=1, H=(0, 1, 2, 3), I=(1, 2, 3, 4))
-        base.update(overrides)
-        return cls(**base)
-
-
-@dataclass(frozen=True)
-class ResidualTable:
-    """Second-order residuals, row j defined for i = j+1..T.
-
-    ``rows`` is zero-padded to (d+1) x T so multiplier contractions are
-    single matrix products; ``row(j)`` returns just the defined entries.
-    """
-
-    rows: np.ndarray
-    d: int
-    T: int
-
-    def row(self, j: int) -> np.ndarray:
-        if not 0 <= j <= self.d:
-            raise ValueError(f"lag {j} out of range 0..{self.d}")
-        return self.rows[j, j:]
-
-
-def second_order_residuals(x, est: SecondOrderEstimates, d: int) -> ResidualTable:
-    """Centered lagged products eps_i^(j) = X_i X_{i-j} - sigma_hat_j."""
-    v = _values(x)
-    if d >= v.size:
-        raise ValueError(f"maximum lag {d} out of range for series of length {v.size}")
-    rows = second_order_residual_matrix(v, est.sigma_hat, d)
-    return ResidualTable(rows=rows, d=d, T=v.size)
 
 
 @dataclass(frozen=True)
@@ -227,34 +192,6 @@ class InferenceReport:
         return out
 
 
-def bootstrap_replicate(
-    est: SecondOrderEstimates,
-    residuals: ResidualTable,
-    multipliers: np.ndarray,
-    p: int,
-    I,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bootstrap replicate (sigma*, rho* over I, a*).
-
-    ``multipliers`` is the full-length vector e_1..e_T; row j of the
-    residual table consumes entries i = j+1..T of the same vector.  Raises
-    ``DegenerateVarianceError`` when sigma*_0 lands exactly on zero.
-    """
-    multipliers = np.asarray(multipliers, dtype=float)
-    if multipliers.shape != (residuals.T,):
-        raise ValueError(f"multipliers must have shape ({residuals.T},), got {multipliers.shape}")
-    I = normalize_lag_set(I, residuals.d, 1, "I")
-    if not 1 <= p <= residuals.d:
-        raise ValueError(f"need 1 <= p <= d, got p={p}, d={residuals.d}")
-    delta = residuals.rows @ multipliers / residuals.T
-    sigma_star = est.sigma_hat + delta
-    if sigma_star[0] == 0.0:
-        raise DegenerateVarianceError("replicate produced sigma*_0 = 0")
-    rho_star = sigma_star[list(I)] / sigma_star[0]
-    a_star = _pinv_yule_walker(sigma_star, p)
-    return sigma_star, rho_star, a_star
-
-
 def _pinv_yule_walker(sigma: np.ndarray, p: int) -> np.ndarray:
     """Moore-Penrose Yule-Walker solve, used unconditionally on replicates.
 
@@ -283,8 +220,7 @@ def run_bootstrap(x, config: BootstrapConfig) -> tuple[InferenceReport, Bootstra
     exactly zero is redrawn once from stream (seed, B + b); a second
     failure aborts.  Occurrences are counted in the report provenance.
     """
-    series = x if isinstance(x, TimeSeries) else TimeSeries.from_values(x)
-    v = series.values
+    v = _values(x)
     T = v.size
     if T <= config.d:
         raise ValueError(f"series of length {T} too short for maximum lag {config.d}")
@@ -421,8 +357,7 @@ def run_plugin(
     quantiles of the maximum of the matching Gaussian vector.  Exposed next
     to :func:`run_bootstrap`; neither route is canonical.
     """
-    series = x if isinstance(x, TimeSeries) else TimeSeries.from_values(x)
-    v = series.values
+    v = _values(x)
     if v.size <= config.d:
         raise ValueError(f"series of length {v.size} too short for maximum lag {config.d}")
     est = estimate_second_order(v, config.d, config.p, config.H, config.I)
@@ -462,7 +397,7 @@ def hypothesis_tests(
     For each provided family the null is rejected when
     sqrt(T) * max_j |estimate_j - hypothesized_j| exceeds the family's
     radius.  Hypothesized vectors align with sorted(H), sorted(I) and lags
-    1..p respectively.  The decisions are attached to ``report.tests`` and
+    1..p respectively and must be finite numbers.  The decisions are attached to ``report.tests`` and
     returned.
     """
     est = report.estimates
@@ -470,11 +405,16 @@ def hypothesis_tests(
     results: dict[str, TestResult] = {}
 
     def _one(target, values, hypothesized, draws_arr):
-        hypothesized = np.asarray(hypothesized, dtype=float)
+        try:
+            hypothesized = np.asarray(hypothesized, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"hypothesized {target} values must be numbers: {exc}") from exc
         if hypothesized.shape != values.shape:
             raise ValueError(
                 f"hypothesized {target} values have shape {hypothesized.shape}, expected {values.shape}"
             )
+        if not np.all(np.isfinite(hypothesized)):
+            raise ValueError(f"hypothesized {target} values must be finite")
         stat = float(sqrt_T * np.abs(values - hypothesized).max())
         radius = report.radii[target]
         results[target] = TestResult(

@@ -48,7 +48,7 @@ from .harness import (
 )
 from .kernels import BandwidthRule
 from .rng import RngStream
-from .series import TimeSeries
+from .series import _values
 
 TABLE_DEFAULT_D = 7
 TABLE_DEFAULT_H = "0-3"
@@ -184,9 +184,9 @@ def _bootstrap_config(opts: dict) -> BootstrapConfig:
     )
 
 
-def _load_series(opts: dict) -> TimeSeries:
-    values = read_series_csv(opts["input"])
-    return TimeSeries.from_values(values, center=opts["center"])
+def _load_series(opts: dict) -> np.ndarray:
+    values = _values(read_series_csv(opts["input"]))
+    return values - values.mean() if opts["center"] else values
 
 
 def _analyze_report(opts: dict) -> tuple[InferenceReport, object]:
@@ -194,11 +194,11 @@ def _analyze_report(opts: dict) -> tuple[InferenceReport, object]:
 
     series = _load_series(opts)
     if opts["p"] is None:
-        p_max = min(opts["d"], max(1, (series.T - 1) // 2))
+        p_max = min(opts["d"], max(1, (series.size - 1) // 2))
         opts = dict(opts, p=max(1, ar_order_select_aic(series, p_max)))
     config = _bootstrap_config(opts)
-    if series.T <= config.d:
-        raise InputDataError(f"series of length {series.T} too short for maximum lag {config.d}")
+    if series.size <= config.d:
+        raise InputDataError(f"series of length {series.size} too short for maximum lag {config.d}")
     if opts["band_method"] == "plugin":
         report = run_plugin(series, config, n_mc=opts["n_mc"])
         draws = None
@@ -296,8 +296,7 @@ def cmd_simulate(opts: dict, execution: dict) -> None:
         burn_in=opts["burn_in"],
         seed=opts["seed"],
     )
-    series = gen_series(spec)
-    text = "\n".join(repr(v) for v in series.values.tolist()) + "\n"
+    text = "\n".join(repr(v) for v in gen_series(spec).tolist()) + "\n"
     if execution["out"] is None:
         sys.stdout.write(text)
     else:

@@ -29,7 +29,7 @@ import scipy.linalg
 import scipy.signal
 
 from .rng import RngStream
-from .series import TimeSeries
+from .series import _values
 
 
 class InnovationKind(str, Enum):
@@ -172,22 +172,22 @@ def _recursion(spec: DgpSpec, eps: np.ndarray) -> np.ndarray:
     return nlar2_path(eps) - NLAR2_LONG_RUN_MEAN
 
 
-def gen_series(spec: DgpSpec) -> TimeSeries:
+def gen_series(spec: DgpSpec) -> np.ndarray:
     """Simulate the model, discard the burn-in, and return the last T values.
 
-    Recursions start from zeros.  The nonlinear model subtracts the fixed
+    The values are copied out of the simulation buffer.  Recursions start from zeros.  The nonlinear model subtracts the fixed
     calibration constant ``NLAR2_LONG_RUN_MEAN`` instead of the sample mean,
     so the output stays a pure function of the spec.
     """
     n = spec.burn_in + spec.T
     eps = gen_innovations(spec.innovation, n, RngStream(spec.seed, spec.stream_index))
-    return TimeSeries(_recursion(spec, eps)[spec.burn_in :], centered=False)
+    return _values(_recursion(spec, eps)[spec.burn_in :].copy())
 
 
 def gen_series_block(spec: DgpSpec, seeds) -> np.ndarray:
     """Simulate one series per seed, as the rows of a (len(seeds), T) array.
 
-    Row i holds the bits of ``gen_series(replace(spec, seed=seeds[i])).values``:
+    Row i holds the bits of ``gen_series(replace(spec, seed=seeds[i]))``:
     each row draws its innovations from its own stream, and the recursion
     runs once over the block (``lfilter`` along axis 1, or ``nlar2_path``
     across rows).  Raises ``ValueError`` naming the first non-finite value.

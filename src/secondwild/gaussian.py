@@ -40,7 +40,7 @@ def factorize_psd(M) -> PsdFactor:
     order; failure at the last level raises ``NotPsdError`` carrying the
     most negative eigenvalue.
     """
-    M = np.asarray(getattr(M, "matrix", M), dtype=float)
+    M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = float(np.abs(M).max(initial=0.0))
@@ -82,9 +82,10 @@ def max_abs_normal_sample(cov, n: int, stream: RngStream) -> np.ndarray:
 def gaussian_max_quantile(cov, alpha: float, n_mc: int, stream: RngStream) -> float:
     """Monte Carlo 1 - alpha quantile of max_j |xi_j|, xi ~ N(0, cov).
 
-    ``cov`` may be a raw symmetric matrix, a ``LongRunCov``, or a
-    pre-computed ``PsdFactor``.  The quantile uses the same inverse-ECDF
-    rule as the bootstrap, so the two routes are directly comparable.
+    ``cov`` may be a symmetric matrix, such as one returned by the
+    ``hac_*`` estimators, or a pre-computed ``PsdFactor``.  The quantile
+    uses the same inverse-ECDF rule as the bootstrap, so the two routes are
+    directly comparable.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

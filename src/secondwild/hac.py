@@ -6,7 +6,9 @@ Each estimator evaluates the quadratic form
 
 for a family of residual sequences r^{(j)}: centered lagged products for
 autocovariances, their studentized combination for autocorrelations, and
-the Yule-Walker linearization for fitted AR coefficients.  Each row is
+the Yule-Walker linearization for fitted AR coefficients.  Each estimator
+returns the symmetric matrix of the form over its index set as a plain
+array, rows and columns in sorted index order.  Each row is
 zero in its first j slots, so the double sum is sum_i r_a[i] (w * r_b)[i]
 with w the two-sided kernel window K(m/k_T), |m| <= m_max, truncated where
 K falls below a cutoff (default 1e-12).  The convolution w * r_b treats
@@ -18,8 +20,6 @@ block length, not by T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.signal
 
@@ -27,7 +27,6 @@ from .errors import DegenerateVarianceError
 from .kernels import kernel_eval, kernel_window
 from .series import (
     SecondOrderEstimates,
-    _values,
     linearization_matrix,
     normalize_lag_set,
     second_order_residual_matrix,
@@ -36,16 +35,6 @@ from .series import (
 TARGET_AUTOCOV = "autocovariance"
 TARGET_AUTOCORR = "autocorrelation"
 TARGET_ARCOEF = "ar_coefficients"
-
-
-@dataclass(frozen=True)
-class LongRunCov:
-    """Symmetric long-run covariance matrix over a labelled index set."""
-
-    matrix: np.ndarray
-    target: str
-    labels: tuple[int, ...]
-    k_T: float
 
 
 # Output positions smoothed per convolution; bounds the scratch memory.
@@ -78,13 +67,15 @@ def hac_autocov_cov(
     H,
     k_T: float,
     window_cutoff: float = 1e-12,
-) -> LongRunCov:
-    """Long-run covariance of sqrt(T) * sigma_hat over the lag set ``H``."""
-    v = _values(x)
+) -> np.ndarray:
+    """Long-run covariance of sqrt(T) * sigma_hat over the lag set ``H``.
+
+    Returns the symmetric (|H|, |H|) matrix, rows and columns in sorted
+    lag order.
+    """
     H = normalize_lag_set(H, est.d, 0, "H")
-    rows = second_order_residual_matrix(v, est.sigma_hat, est.d)[list(H)]
-    matrix = _weighted_quadratic(rows, k_T, window_cutoff)
-    return LongRunCov(matrix=matrix, target=TARGET_AUTOCOV, labels=H, k_T=float(k_T))
+    rows = second_order_residual_matrix(x, est.sigma_hat, est.d)[list(H)]
+    return _weighted_quadratic(rows, k_T, window_cutoff)
 
 
 def hac_autocorr_cov(
@@ -93,29 +84,27 @@ def hac_autocorr_cov(
     I,
     k_T: float,
     window_cutoff: float = 1e-12,
-) -> LongRunCov:
+) -> np.ndarray:
     """Long-run covariance of sqrt(T) * rho_hat over the lag set ``I``.
 
-    Uses the studentized residuals
+    Returns the symmetric (|I|, |I|) matrix in sorted lag order.  Uses the studentized residuals
 
         Zhat_{i,j} = -(sigma_hat_j / sigma_hat_0^2)(X_i^2 - sigma_hat_0)
                      + (1 / sigma_hat_0)(X_i X_{i-j} - sigma_hat_j),
 
     summed from i = j + 1 for row j.
     """
-    v = _values(x)
     I = normalize_lag_set(I, est.d, 1, "I")
     s0 = est.sigma_hat[0]
     if s0 == 0.0:
         raise DegenerateVarianceError("sample variance is zero, autocorrelation residuals undefined")
-    resid = second_order_residual_matrix(v, est.sigma_hat, est.d)
-    rows = np.empty((len(I), v.size))
+    resid = second_order_residual_matrix(x, est.sigma_hat, est.d)
+    rows = np.empty((len(I), resid.shape[1]))
     for idx, j in enumerate(I):
         row = resid[j] / s0 - (est.sigma_hat[j] / (s0 * s0)) * resid[0]
         row[:j] = 0.0
         rows[idx] = row
-    matrix = _weighted_quadratic(rows, k_T, window_cutoff)
-    return LongRunCov(matrix=matrix, target=TARGET_AUTOCORR, labels=I, k_T=float(k_T))
+    return _weighted_quadratic(rows, k_T, window_cutoff)
 
 
 def hac_arcoef_cov(
@@ -124,10 +113,10 @@ def hac_arcoef_cov(
     p: int,
     k_T: float,
     window_cutoff: float = 1e-12,
-) -> LongRunCov:
+) -> np.ndarray:
     """Long-run covariance of sqrt(T) * a_hat for the order-p Yule-Walker fit.
 
-    Row j combines the centered lagged products through the linearization
+    Returns the symmetric (p, p) matrix over lags 1..p.  Row j combines the centered lagged products through the linearization
     matrix built from the sample autocovariances (pseudo-inverse route):
 
         Zhat_{i,j} = sum_{k=0}^{p} bhat_{jk} (X_i X_{i-k} - sigma_hat_k),
@@ -135,13 +124,11 @@ def hac_arcoef_cov(
     with products at i <= k absent (the truncated-sum convention) and the
     outer sums starting at i = j + 1.
     """
-    v = _values(x)
     if not 1 <= p <= est.d:
         raise ValueError(f"need 1 <= p <= d, got p={p}, d={est.d}")
     lin = linearization_matrix(est.sigma_hat[: p + 1], p)
-    resid = second_order_residual_matrix(v, est.sigma_hat, p)
-    rows = lin.B @ resid
+    resid = second_order_residual_matrix(x, est.sigma_hat, p)
+    rows = lin @ resid
     for j in range(1, p + 1):
         rows[j - 1, :j] = 0.0
-    matrix = _weighted_quadratic(rows, k_T, window_cutoff)
-    return LongRunCov(matrix=matrix, target=TARGET_ARCOEF, labels=tuple(range(1, p + 1)), k_T=float(k_T))
+    return _weighted_quadratic(rows, k_T, window_cutoff)

@@ -511,7 +511,7 @@ def gaussian_approx_check(
     d_est = max(d, 1)
     est_long = estimate_second_order(long_series, d_est, 1, H_idx, (1,))
     cov = hac_autocov_cov(long_series, est_long, H_idx, k_T)
-    oracle = max_abs_normal_sample(cov.matrix, n_oracle, RngStream(derive_seed(stream.seed, (stream.stream_index, 1)), 0))
+    oracle = max_abs_normal_sample(cov, n_oracle, RngStream(derive_seed(stream.seed, (stream.stream_index, 1)), 0))
 
     rep_spec = replace(spec, T=T, stream_index=0)
     roots = np.empty(reps)

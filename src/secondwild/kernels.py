@@ -53,7 +53,11 @@ def kernel_gram(T: int, k_T: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandwidthRule:
-    """Either a fixed bandwidth or the automatic flat-top threshold rule."""
+    """Either a fixed bandwidth or the automatic flat-top threshold rule.
+
+    The fixed ``k_T`` and the threshold constant ``c`` must be positive and
+    finite; anything else raises ``ValueError``.
+    """
 
     variant: str
     k_T: Optional[float] = None
@@ -61,11 +65,11 @@ class BandwidthRule:
 
     def __post_init__(self):
         if self.variant == "fixed":
-            if self.k_T is None or self.k_T <= 0:
-                raise ValueError(f"fixed bandwidth must be positive, got {self.k_T}")
+            if self.k_T is None or not (math.isfinite(self.k_T) and self.k_T > 0):
+                raise ValueError(f"fixed bandwidth must be positive and finite, got {self.k_T}")
         elif self.variant == "auto":
-            if self.c <= 0:
-                raise ValueError(f"threshold constant must be positive, got {self.c}")
+            if not (math.isfinite(self.c) and self.c > 0):
+                raise ValueError(f"threshold constant must be positive and finite, got {self.c}")
         else:
             raise ValueError(f"unknown bandwidth variant {self.variant!r}")
 

@@ -4,9 +4,10 @@ All estimators use the truncated-sum, divisor-T convention
 
     sigma_hat_j = (1/T) * sum_{i=j+1}^{T} X_i X_{i-j},
 
-with no tapering and no bias correction.  The series is assumed to have zero
-mean; callers working with raw data should center it first (see
-``TimeSeries.from_values``).
+with no tapering and no bias correction.  A series is a 1-D float array,
+assumed to have zero mean: the estimators never center it, so callers
+working with raw data subtract the sample mean first (the CLI does unless
+given ``--no-center``).
 """
 
 from __future__ import annotations
@@ -27,64 +28,22 @@ PINV_RCOND = 1e-10
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """An observed sample X_1, ..., X_T.
-
-    ``centered`` records whether the sample mean was subtracted at
-    construction; the estimators themselves never re-center.
-    """
-
-    values: np.ndarray
-    centered: bool = False
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"series must be one-dimensional, got shape {values.shape}")
-        if values.size < 2:
-            raise ValueError(f"series must have at least 2 observations, got {values.size}")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ValueError(f"series contains a non-finite value at position {bad}")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_values(cls, data: ArrayLike, center: bool = False) -> "TimeSeries":
-        """Build a series, optionally subtracting the sample mean."""
-        values = np.asarray(data, dtype=float)
-        if center:
-            values = values - values.mean()
-        return cls(values=values, centered=center)
-
-    @property
-    def T(self) -> int:
-        return self.values.size
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def _values(x) -> np.ndarray:
-    """Accept a TimeSeries or a plain array-like."""
-    if isinstance(x, TimeSeries):
-        return x.values
-    return TimeSeries(np.asarray(x, dtype=float)).values
+    """The series as a 1-D float array, validated but not copied.
 
-
-def sample_autocov(x, j: int) -> float:
-    """Sample autocovariance at lag ``j``.
-
-    Divisor is T (not T - j) and the sum starts at i = j + 1, so the first
-    ``j`` products are simply absent rather than wrapped or imputed.
+    Raises ``ValueError`` unless it is one-dimensional, holds at least 2
+    observations and is finite; the first non-finite value is named by
+    position.  No function of the package writes to its input series.
     """
-    v = _values(x)
-    T = v.size
-    if not 0 <= j < T:
-        raise ValueError(f"lag {j} out of range for series of length {T}")
-    return float(v[j:] @ v[: T - j]) / T
+    values = np.asarray(x, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"series must be one-dimensional, got shape {values.shape}")
+    if values.size < 2:
+        raise ValueError(f"series must have at least 2 observations, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"series contains a non-finite value at position {bad}")
+    return values
 
 
 def autocov_vector(x, d: int) -> np.ndarray:
@@ -94,24 +53,6 @@ def autocov_vector(x, d: int) -> np.ndarray:
     if not 0 <= d < T:
         raise ValueError(f"maximum lag {d} out of range for series of length {T}")
     return np.array([v[j:] @ v[: T - j] for j in range(d + 1)]) / T
-
-
-def sample_autocorr(x, j: int) -> float:
-    """Sample autocorrelation sigma_hat_j / sigma_hat_0 at lag ``j``.
-
-    Bounded by 1 in absolute value (Cauchy-Schwarz on the truncated sums).
-    Lag 0 returns exactly 1.0.
-    """
-    v = _values(x)
-    T = v.size
-    if not 0 <= j < T:
-        raise ValueError(f"lag {j} out of range for series of length {T}")
-    s0 = sample_autocov(v, 0)
-    if s0 == 0.0:
-        raise DegenerateVarianceError("sample variance is zero, autocorrelation undefined")
-    if j == 0:
-        return 1.0
-    return sample_autocov(v, j) / s0
 
 
 @dataclass(frozen=True)
@@ -216,27 +157,16 @@ def _order_select_aic(sigma: np.ndarray, T: int, p_max: int) -> int:
     return int(np.argmin(aic))
 
 
-@dataclass(frozen=True)
-class ARLinearization:
-    """First-order expansion of the Yule-Walker map around given autocovariances.
+def linearization_matrix(sigma: ArrayLike, p: int) -> np.ndarray:
+    """Jacobian-style coefficient matrix of the order-p Yule-Walker solution.
 
-    ``B`` has one row per AR coefficient and one column per autocovariance
-    lag 0..p; row j holds the coefficients b_{jk} of the linear combination
+    The (p, p+1) matrix has one row per AR coefficient and one column per
+    autocovariance lag 0..p; row j holds the coefficients b_{jk} of the
+    linear combination
 
         Z_{i,j} = sum_{k=0}^{p} b_{jk} (X_i X_{i-k} - sigma_k)
 
     whose partial sums drive the fluctuations of the fitted coefficients.
-    """
-
-    B: np.ndarray
-    Sigma: np.ndarray
-    gamma: np.ndarray
-    used_pinv: bool = False
-
-
-def linearization_matrix(sigma: ArrayLike, p: int) -> ARLinearization:
-    """Jacobian-style coefficient matrix of the order-p Yule-Walker solution.
-
     With Sigma the p x p Toeplitz matrix of sigma_0..sigma_{p-1}, gamma the
     vector (sigma_1..sigma_p), e_i the i-th unit vector and T_i the 0/1
     Toeplitz matrix indicating |j - k| = i, the columns are
@@ -246,19 +176,15 @@ def linearization_matrix(sigma: ArrayLike, p: int) -> ARLinearization:
         b_p = Sigma^{-1} e_p.
 
     Sigma is inverted through the Moore-Penrose pseudo-inverse so the
-    construction degrades gracefully on rank-deficient inputs (flagged).
+    construction degrades gracefully on rank-deficient inputs.
     """
     sigma = np.asarray(sigma, dtype=float)
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
     if sigma.ndim != 1 or sigma.size < p + 1:
         raise ValueError(f"need autocovariances 0..{p}, got {sigma.size} values")
-    Sigma = scipy.linalg.toeplitz(sigma[:p])
-    gamma = sigma[1 : p + 1].copy()
-    svals = np.linalg.svd(Sigma, compute_uv=False)
-    rank = int(np.sum(svals > PINV_RCOND * svals.max(initial=0.0)))
-    Si = np.linalg.pinv(Sigma, rcond=PINV_RCOND, hermitian=True)
-    Si_gamma = Si @ gamma
+    Si = np.linalg.pinv(scipy.linalg.toeplitz(sigma[:p]), rcond=PINV_RCOND, hermitian=True)
+    Si_gamma = Si @ sigma[1 : p + 1]
     cols = np.empty((p, p + 1))
     cols[:, 0] = -Si @ Si_gamma
     for i in range(1, p + 1):
@@ -271,7 +197,7 @@ def linearization_matrix(sigma: ArrayLike, p: int) -> ARLinearization:
             Ti = (np.abs(np.subtract.outer(np.arange(p), np.arange(p))) == i).astype(float)
             col = col - Si @ (Ti @ Si_gamma)
         cols[:, i] = col
-    return ARLinearization(B=cols, Sigma=Sigma, gamma=gamma, used_pinv=rank < p)
+    return cols
 
 
 def second_order_residual_matrix(x, sigma_hat: np.ndarray, d: int) -> np.ndarray:

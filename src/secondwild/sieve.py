@@ -33,9 +33,9 @@ from .errors import NumericalError
 from .quantiles import ecdf_quantile
 from .rng import RngStream
 from .series import (
-    TimeSeries,
     _check_order_range,
     _order_select_aic,
+    _values,
     autocov_vector,
     estimate_second_order,
     normalize_lag_set,
@@ -187,8 +187,7 @@ def ar_sieve_bootstrap(
     burn_in + T values through the fitted recursion from zeros, and keeps
     the last T.
     """
-    series = x if isinstance(x, TimeSeries) else TimeSeries.from_values(x)
-    v = series.values
+    v = _values(x)
     T = v.size
     if T <= d:
         raise ValueError(f"series of length {T} too short for maximum lag {d}")

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from secondwild.bootstrap import BootstrapConfig, run_bootstrap
 from secondwild.dgp import DgpSpec, gen_series
+from secondwild.errors import DegenerateVarianceError
 from secondwild.harness import (
     TARGETS,
     CoverageReport,
@@ -133,6 +134,22 @@ def reference_pinv_yule_walker(sigma, p):
     Sigma = scipy.linalg.toeplitz(sigma[:p])
     pinv = np.linalg.pinv(Sigma, rcond=PINV_RCOND, hermitian=True)
     return pinv @ sigma[1 : p + 1]
+
+
+def reference_bootstrap_replicate(est, rows, multipliers, p, I):
+    """One wild replicate (sigma*, rho* over I, a*) from full-length multipliers.
+
+    ``rows`` is the zero-padded (d+1, T) residual matrix, so row j consumes
+    entries i = j+1..T of the multiplier vector e_1..e_T.  Raises
+    ``DegenerateVarianceError`` when sigma*_0 lands exactly on zero.
+    """
+    multipliers = np.asarray(multipliers, dtype=float)
+    assert multipliers.shape == (rows.shape[1],)
+    sigma_star = est.sigma_hat + rows @ multipliers / rows.shape[1]
+    if sigma_star[0] == 0.0:
+        raise DegenerateVarianceError("replicate produced sigma*_0 = 0")
+    rho_star = sigma_star[list(I)] / sigma_star[0]
+    return sigma_star, rho_star, reference_pinv_yule_walker(sigma_star, p)
 
 
 def reference_coverage_study(

@@ -21,14 +21,13 @@ from conftest import (
     brute_kernel_double_sum,
     brute_residual_rows,
     gaussian_K,
+    reference_bootstrap_replicate,
 )
 from secondwild.bootstrap import (
     BootstrapConfig,
-    bootstrap_replicate,
     hypothesis_tests,
     multiplier_factor,
     run_bootstrap,
-    second_order_residuals,
 )
 from secondwild.cli import main as cli_main
 from secondwild.dgp import DgpSpec, gen_innovations
@@ -43,7 +42,7 @@ from secondwild.hac import (
 from secondwild.harness import VarianceStudyReport, gaussian_approx_check
 from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
-from secondwild.series import estimate_second_order, linearization_matrix
+from secondwild.series import estimate_second_order, linearization_matrix, second_order_residual_matrix
 
 VARIANCE_TARGETS = {
     "independent": (0.52, 20.74),
@@ -136,10 +135,10 @@ def test_criterion_4_conditional_covariance_identity():
     for s in range(20):
         x = RngStream(derive_seed(1404, (s,)), 0).generator().standard_normal(T)
         est = estimate_second_order(x, 3, 1, H, (1,))
-        resid = second_order_residuals(x, est, 3)
+        resid = second_order_residual_matrix(x, est.sigma_hat, 3)
         k_T = select_bandwidth(x, BandwidthRule.auto())
         factor = multiplier_factor(T, k_T)
-        hac = hac_autocov_cov(x, est, H, k_T).matrix
+        hac = hac_autocov_cov(x, est, H, k_T)
         seed = derive_seed(1405, (s,))
         acc = np.zeros((4, 4))
         chunk = 512
@@ -149,12 +148,12 @@ def test_criterion_4_conditional_covariance_identity():
             for j in range(nb):
                 Z[:, j] = RngStream(seed, start + j + 1).generator().standard_normal(T)
             eps = factor.L @ Z
-            deltas = resid.rows @ eps / T
+            deltas = resid @ eps / T
             acc += deltas @ deltas.T
             if start == 0:
                 # route coupling: the batched deltas are exactly what
-                # bootstrap_replicate produces for the same multipliers
-                sigma_star, _, _ = bootstrap_replicate(est, resid, eps[:, 0], 1, (1,))
+                # the reference replicate produces for the same multipliers
+                sigma_star, _, _ = reference_bootstrap_replicate(est, resid, eps[:, 0], 1, (1,))
                 assert sigma_star == pytest.approx(est.sigma_hat + deltas[:, 0], rel=1e-12)
         emp = acc * T / B
         denom = np.sqrt(np.outer(np.diag(hac), np.diag(hac)))
@@ -185,12 +184,12 @@ def test_criterion_5_brute_force_hac_equivalence():
         I = (1, 2)
         lin = linearization_matrix(est.sigma_hat[:3], 2)
         pairs = (
-            (hac_autocov_cov(x, est, H, k_T).matrix,
+            (hac_autocov_cov(x, est, H, k_T),
              brute_kernel_double_sum(brute_residual_rows(x, est.sigma_hat, H), gaussian_K, k_T)),
-            (hac_autocorr_cov(x, est, I, k_T).matrix,
+            (hac_autocorr_cov(x, est, I, k_T),
              brute_kernel_double_sum(brute_autocorr_rows(x, est.sigma_hat, I), gaussian_K, k_T)),
-            (hac_arcoef_cov(x, est, 2, k_T).matrix,
-             brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin.B, 2), gaussian_K, k_T)),
+            (hac_arcoef_cov(x, est, 2, k_T),
+             brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin, 2), gaussian_K, k_T)),
         )
         for got, want in pairs:
             scale = max(float(np.abs(want).max()), 1e-12)

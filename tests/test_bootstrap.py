@@ -4,23 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import secondwild.bootstrap as bootstrap_mod
-from conftest import reference_pinv_yule_walker
+from conftest import reference_bootstrap_replicate, reference_pinv_yule_walker
 from secondwild.bootstrap import (
     BootstrapConfig,
     BootstrapDraws,
     _pinv_yule_walker,
-    bootstrap_replicate,
     hypothesis_tests,
     multiplier_factor,
     run_bootstrap,
     run_plugin,
-    second_order_residuals,
 )
 from secondwild.errors import DegenerateVarianceError, NumericalError
 from secondwild.hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
 from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
-from secondwild.series import SecondOrderEstimates, estimate_second_order
+from secondwild.series import SecondOrderEstimates, estimate_second_order, second_order_residual_matrix
 
 CFG = dict(d=7, p=1, H=(0, 1, 2, 3), I=(1, 2, 3, 4))
 
@@ -52,15 +50,15 @@ class TestResiduals:
     def test_hand_example(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         est = estimate_second_order(x, 1, 1)
-        table = second_order_residuals(x, est, 1)
+        rows = second_order_residual_matrix(x, est.sigma_hat, 1)
         assert est.sigma_hat[1] == pytest.approx(5.0)
-        assert table.row(1) == pytest.approx([-3.0, 1.0, 7.0])
+        assert rows[1, 1:] == pytest.approx([-3.0, 1.0, 7.0])
 
     def test_zero_series_rows(self):
         from test_hac import _zero_estimates
 
-        table = second_order_residuals(np.zeros(10), _zero_estimates(10, 2), 2)
-        assert np.all(table.rows == 0.0)
+        rows = second_order_residual_matrix(np.zeros(10), _zero_estimates(10, 2).sigma_hat, 2)
+        assert np.all(rows == 0.0)
 
     @given(st.integers(min_value=0, max_value=400))
     @settings(max_examples=40, deadline=None)
@@ -71,19 +69,19 @@ class TestResiduals:
         x = g.standard_normal(T)
         d = int(g.integers(1, min(T - 1, 7) + 1))
         est = estimate_second_order(x, d, 1)
-        table = second_order_residuals(x, est, d)
+        rows = second_order_residual_matrix(x, est.sigma_hat, d)
         for j in range(d + 1):
             expected = j * est.sigma_hat[j]
             scale = max(1.0, abs(est.sigma_hat[j]) * T)
-            assert abs(table.row(j).sum() - expected) <= 1e-12 * scale
+            assert abs(rows[j, j:].sum() - expected) <= 1e-12 * scale
 
 
 class TestReplicate:
     def test_zero_multipliers_reproduce_estimates(self):
         x = _series(1)
         est = estimate_second_order(x, 7, 2, CFG["H"], CFG["I"])
-        table = second_order_residuals(x, est, 7)
-        sigma_star, rho_star, a_star = bootstrap_replicate(est, table, np.zeros(len(x)), 2, CFG["I"])
+        rows = second_order_residual_matrix(x, est.sigma_hat, 7)
+        sigma_star, rho_star, a_star = reference_bootstrap_replicate(est, rows, np.zeros(len(x)), 2, CFG["I"])
         assert sigma_star == pytest.approx(est.sigma_hat, rel=0, abs=0)
         assert rho_star == pytest.approx(est.rho_hat[list(CFG["I"])])
         assert a_star == pytest.approx(est.a_hat, rel=1e-12)
@@ -91,17 +89,17 @@ class TestReplicate:
     def test_hand_example(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         est = estimate_second_order(x, 1, 1)
-        table = second_order_residuals(x, est, 1)
-        sigma_star, _, _ = bootstrap_replicate(est, table, np.ones(4), 1, (1,))
+        rows = second_order_residual_matrix(x, est.sigma_hat, 1)
+        sigma_star, _, _ = reference_bootstrap_replicate(est, rows, np.ones(4), 1, (1,))
         assert sigma_star[1] == pytest.approx(6.25)
 
     def test_affine_in_multipliers(self):
         x = _series(2)
         est = estimate_second_order(x, 5, 1, (0, 1, 2), (1, 2))
-        table = second_order_residuals(x, est, 5)
+        rows = second_order_residual_matrix(x, est.sigma_hat, 5)
         eps = RngStream(3).generator().standard_normal(len(x))
-        s1, _, _ = bootstrap_replicate(est, table, eps, 1, (1, 2))
-        s2, _, _ = bootstrap_replicate(est, table, 2.0 * eps, 1, (1, 2))
+        s1, _, _ = reference_bootstrap_replicate(est, rows, eps, 1, (1, 2))
+        s2, _, _ = reference_bootstrap_replicate(est, rows, 2.0 * eps, 1, (1, 2))
         assert s2 - est.sigma_hat == pytest.approx(2.0 * (s1 - est.sigma_hat), rel=1e-12)
 
     def test_degenerate_sigma0_raises(self):
@@ -114,11 +112,8 @@ class TestReplicate:
         )
         rows = np.zeros((2, T))
         rows[0] = [float(T), 0.0, 0.0, 0.0]
-        from secondwild.bootstrap import ResidualTable
-
-        table = ResidualTable(rows=rows, d=1, T=T)
         with pytest.raises(DegenerateVarianceError):
-            bootstrap_replicate(est, table, np.array([-1.0, 0.0, 0.0, 0.0]), 1, (1,))
+            reference_bootstrap_replicate(est, rows, np.array([-1.0, 0.0, 0.0, 0.0]), 1, (1,))
 
 
 class TestStackedYuleWalker:
@@ -170,9 +165,9 @@ class TestRunBootstrap:
         x = _series(8, T=64)
         est = estimate_second_order(x, 2, 1, (0, 1), (1,))
         sigma0 = est.sigma_hat[0]
-        table = second_order_residuals(x, est, 2)
+        rows = second_order_residual_matrix(x, est.sigma_hat, 2)
         # craft a multiplier vector whose delta cancels sigma_hat_0 exactly
-        row0 = table.rows[0]
+        row0 = rows[0]
         bad = np.zeros(64)
         bad[0] = -sigma0 * 64.0 / row0[0]
         assert sigma0 + row0 @ bad / 64.0 == 0.0
@@ -193,16 +188,16 @@ class TestRunBootstrap:
         T, B = 128, 4000
         x = _series(10, T=T)
         est = estimate_second_order(x, 3, 1, (0, 1, 2, 3), (1,))
-        table = second_order_residuals(x, est, 3)
+        rows = second_order_residual_matrix(x, est.sigma_hat, 3)
         k_T = select_bandwidth(x, BandwidthRule.auto())
         fac = multiplier_factor(T, k_T)
         acc = np.zeros((4, 4))
         for b in range(1, B + 1):
             eps = fac.L @ RngStream(77, b).generator().standard_normal(T)
-            delta = table.rows @ eps / T
+            delta = rows @ eps / T
             acc += np.outer(delta, delta)
         emp = acc * T / B
-        hac = hac_autocov_cov(x, est, (0, 1, 2, 3), k_T).matrix
+        hac = hac_autocov_cov(x, est, (0, 1, 2, 3), k_T)
         denom = np.sqrt(np.outer(np.diag(hac), np.diag(hac)))
         assert np.abs(emp - hac).max() / denom.max() <= 0.1
 
@@ -248,6 +243,20 @@ class TestHypothesisTests:
             hypothesis_tests(report, draws, rho_e=np.zeros(3))
         with pytest.raises(ValueError, match="no hypothesized"):
             hypothesis_tests(report, draws)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_null_rejected(self, bad):
+        report, draws = self._report()
+        null = np.zeros(4)
+        null[0] = bad
+        with pytest.raises(ValueError, match="autocovariance values must be finite"):
+            hypothesis_tests(report, draws, sigma_e=null)
+
+    @pytest.mark.parametrize("bad", [{"a": 1}, "zero", [0.0, "x", 0.0, 0.0]])
+    def test_non_numeric_null_rejected(self, bad):
+        report, draws = self._report()
+        with pytest.raises(ValueError, match="autocorrelation values must be numbers"):
+            hypothesis_tests(report, draws, rho_e=bad)
 
     def test_results_attached_to_report(self):
         report, draws = self._report()

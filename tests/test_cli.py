@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from secondwild.cli import main, parse_index_set, read_series_csv
+from secondwild.series import autocov_vector
 
 
 def _run(argv):
@@ -148,6 +149,27 @@ class TestAnalyze:
     def test_config_contradiction_exit_2(self, series_file, tmp_path):
         assert _run(["analyze", series_file, "--p", "9", "--d", "7", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--kt", "inf", "--band-method", "plugin"], ["--kt", "inf"], ["--kt", "nan"], ["--kt-c", "nan"]],
+        ids=["kt-inf-plugin", "kt-inf", "kt-nan", "kt-c-nan"],
+    )
+    def test_non_finite_bandwidth_exit_2(self, series_file, tmp_path, capsys, extra):
+        assert _run(["analyze", series_file, "--B", "50", "--out", tmp_path] + extra) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
+    def test_center_subtracts_sample_mean(self, series_file, tmp_path):
+        y = read_series_csv(str(series_file)) + 100.0
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("\n".join(repr(v) for v in y.tolist()) + "\n")
+        sigma_hat = {}
+        for flag in ("--center", "--no-center"):
+            out = tmp_path / flag
+            assert _run(["analyze", shifted, flag, "--B", "50", "--seed", "1", "--out", out]) == 0
+            sigma_hat[flag] = json.loads((out / "report.json").read_text())["report"]["estimates"]["sigma_hat"]
+        assert sigma_hat["--center"] == autocov_vector(y - y.mean(), 7).tolist()
+        assert sigma_hat["--no-center"] == autocov_vector(y, 7).tolist()
+
     def test_plugin_band_method(self, series_file, tmp_path):
         out = tmp_path / "plug"
         assert _run(["analyze", series_file, "--band-method", "plugin",
@@ -234,6 +256,18 @@ class TestTest:
         for extra in ([], ["--null-zero", "--null", null_file], ["--null", tmp_path / "missing.json"],
                       ["--null", empty], ["--null", no_keys], ["--null", not_object]):
             assert _run(base + extra) == 2, extra
+
+    @pytest.mark.parametrize(
+        "text", ['{"sigma": [NaN, 0, 0, 0]}', '{"rho": [0, Infinity, 0, 0]}', '{"sigma": {"a": 1}}'],
+        ids=["nan", "infinity", "object"],
+    )
+    def test_bad_null_values_exit_2(self, series_file, tmp_path, capsys, text):
+        null_file = tmp_path / "null.json"
+        null_file.write_text(text)
+        assert _run(["test", series_file, "--null", null_file, "--B", "100",
+                     "--out", tmp_path / "dec"]) == 2
+        assert "hypothesized" in capsys.readouterr().err
+        assert not (tmp_path / "dec" / "decisions.json").exists()
 
     def test_dimension_mismatch_exit_2(self, series_file, tmp_path):
         null_file = tmp_path / "null.json"

@@ -50,7 +50,7 @@ class TestAutocovCov:
     def test_zero_series(self):
         est = _zero_estimates(20, 3)
         cov = hac_autocov_cov(np.zeros(20), est, (0, 1, 2), 2.0)
-        assert np.all(cov.matrix == 0.0)
+        assert np.all(cov == 0.0)
 
     def test_small_instance_matches_brute_force(self):
         x = np.array([1.0, -1.0, 2.0])
@@ -58,7 +58,7 @@ class TestAutocovCov:
         cov = hac_autocov_cov(x, est, (0,), 1.0)
         rows = brute_residual_rows(x, est.sigma_hat, [0])
         brute = brute_kernel_double_sum(rows, gaussian_K, 1.0)
-        assert cov.matrix == pytest.approx(brute, rel=1e-12)
+        assert cov == pytest.approx(brute, rel=1e-12)
 
     def test_iid_variance_calibration(self):
         # entry (0,0) estimates the long-run variance of sqrt(T) sigma_hat_0,
@@ -68,7 +68,7 @@ class TestAutocovCov:
             x = RngStream(derive_seed(53, (s,))).generator().standard_normal(20_000)
             est = estimate_second_order(x, 1, 1)
             k_T = select_bandwidth(x, BandwidthRule.auto())
-            vals.append(hac_autocov_cov(x, est, (0,), k_T).matrix[0, 0])
+            vals.append(hac_autocov_cov(x, est, (0,), k_T)[0, 0])
         assert np.mean(vals) == pytest.approx(2.0, abs=0.3)
 
     def test_empty_lag_set_rejected(self):
@@ -82,8 +82,10 @@ class TestAutocovCov:
         est = estimate_second_order(x, 5, 1)
         a = hac_autocov_cov(x, est, (0, 2, 5), 2.0)
         b = hac_autocov_cov(x, est, (5, 0, 2), 2.0)
-        assert a.labels == b.labels == (0, 2, 5)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
+        # rows and columns follow the sorted lags (0, 2, 5)
+        for pos, lag in enumerate((0, 2, 5)):
+            assert a[pos, pos] == pytest.approx(hac_autocov_cov(x, est, (lag,), 2.0)[0, 0], rel=1e-12)
 
     def test_window_truncation_error_negligible(self):
         for s in range(5):
@@ -92,8 +94,8 @@ class TestAutocovCov:
             x = g.standard_normal(T)
             est = estimate_second_order(x, 4, 1)
             k_T = float(g.uniform(1.0, 20.0))
-            trunc = hac_autocov_cov(x, est, (0, 1, 4), k_T).matrix
-            full = hac_autocov_cov(x, est, (0, 1, 4), k_T, window_cutoff=0.0).matrix
+            trunc = hac_autocov_cov(x, est, (0, 1, 4), k_T)
+            full = hac_autocov_cov(x, est, (0, 1, 4), k_T, window_cutoff=0.0)
             assert np.abs(trunc - full).max() <= 1e-8
 
 
@@ -105,7 +107,7 @@ class TestAutocorrCov:
         x = np.full(25, 3.0)
         est = estimate_second_order(x, 2, 1)
         cov = hac_autocorr_cov(x, est, (1, 2), 2.0)
-        assert np.abs(cov.matrix).max() <= 0.05
+        assert np.abs(cov).max() <= 0.05
         rows = brute_autocorr_rows(x, est.sigma_hat, [1, 2])
         for j, row in zip((1, 2), rows):
             defined = row[j:]
@@ -117,14 +119,14 @@ class TestAutocorrCov:
         cov = hac_autocorr_cov(x, est, (1, 2), 1.5)
         rows = brute_autocorr_rows(x, est.sigma_hat, [1, 2])
         brute = brute_kernel_double_sum(rows, gaussian_K, 1.5)
-        assert cov.matrix == pytest.approx(brute, rel=1e-11)
+        assert cov == pytest.approx(brute, rel=1e-11)
 
     def test_iid_long_run_variance_of_rho1(self):
         x = RngStream(67).generator().standard_normal(20_000)
         est = estimate_second_order(x, 1, 1)
         k_T = select_bandwidth(x, BandwidthRule.auto())
         cov = hac_autocorr_cov(x, est, (1,), k_T)
-        assert cov.matrix[0, 0] == pytest.approx(1.0, abs=0.2)
+        assert cov[0, 0] == pytest.approx(1.0, abs=0.2)
 
     def test_degenerate_variance_rejected(self):
         est = estimate_second_order(np.array([1.0, 0.0, -1.0, 0.0]), 1, 1)
@@ -137,16 +139,16 @@ class TestArcoefCov:
     def test_zero_series(self):
         est = _zero_estimates(12, 2)
         cov = hac_arcoef_cov(np.zeros(12), est, 1, 1.0)
-        assert np.abs(cov.matrix).max() <= 1e-12
+        assert np.abs(cov).max() <= 1e-12
 
     def test_small_instance_matches_brute_force(self):
         x = np.array([1.0, -2.0, 0.5, 1.5, -0.5])
         est = estimate_second_order(x, 1, 1)
         cov = hac_arcoef_cov(x, est, 1, 2.0)
         lin = linearization_matrix(est.sigma_hat[:2], 1)
-        rows = brute_arcoef_rows(x, est.sigma_hat, lin.B, 1)
+        rows = brute_arcoef_rows(x, est.sigma_hat, lin, 1)
         brute = brute_kernel_double_sum(rows, gaussian_K, 2.0)
-        assert cov.matrix == pytest.approx(brute, rel=1e-11)
+        assert cov == pytest.approx(brute, rel=1e-11)
 
     def test_matches_autocorr_route_when_sigma0_is_one(self):
         g = RngStream(71).generator()
@@ -156,7 +158,7 @@ class TestArcoefCov:
         assert est.sigma_hat[0] == pytest.approx(1.0, abs=1e-12)
         a = hac_arcoef_cov(x, est, 1, 3.0)
         b = hac_autocorr_cov(x, est, (1,), 3.0)
-        assert abs(a.matrix[0, 0] - b.matrix[0, 0]) <= 1e-10
+        assert abs(a[0, 0] - b[0, 0]) <= 1e-10
 
 
 class TestBruteForceSweep:
@@ -168,17 +170,17 @@ class TestBruteForceSweep:
             est = estimate_second_order(x, d, 2)
             H = (0, 1, 3)
             I = (1, 2)
-            got = hac_autocov_cov(x, est, H, k_T).matrix
+            got = hac_autocov_cov(x, est, H, k_T)
             want = brute_kernel_double_sum(brute_residual_rows(x, est.sigma_hat, H), gaussian_K, k_T)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() <= 1e-10 * scale
-            got = hac_autocorr_cov(x, est, I, k_T).matrix
+            got = hac_autocorr_cov(x, est, I, k_T)
             want = brute_kernel_double_sum(brute_autocorr_rows(x, est.sigma_hat, I), gaussian_K, k_T)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() <= 1e-10 * scale
             lin = linearization_matrix(est.sigma_hat[:3], 2)
-            got = hac_arcoef_cov(x, est, 2, k_T).matrix
-            want = brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin.B, 2), gaussian_K, k_T)
+            got = hac_arcoef_cov(x, est, 2, k_T)
+            want = brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin, 2), gaussian_K, k_T)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() <= 1e-10 * scale
 
@@ -204,12 +206,12 @@ class TestBlockSeams:
             I = (1, 2)
             lin = linearization_matrix(est.sigma_hat[:3], 2)
             pairs = (
-                (hac_autocov_cov(x, est, H, k_T, window_cutoff=cutoff).matrix,
+                (hac_autocov_cov(x, est, H, k_T, window_cutoff=cutoff),
                  brute_residual_rows(x, est.sigma_hat, H)),
-                (hac_autocorr_cov(x, est, I, k_T, window_cutoff=cutoff).matrix,
+                (hac_autocorr_cov(x, est, I, k_T, window_cutoff=cutoff),
                  brute_autocorr_rows(x, est.sigma_hat, I)),
-                (hac_arcoef_cov(x, est, 2, k_T, window_cutoff=cutoff).matrix,
-                 brute_arcoef_rows(x, est.sigma_hat, lin.B, 2)),
+                (hac_arcoef_cov(x, est, 2, k_T, window_cutoff=cutoff),
+                 brute_arcoef_rows(x, est.sigma_hat, lin, 2)),
             )
             for got, rows in pairs:
                 want = brute_kernel_double_sum(rows, gaussian_K, k_T)

@@ -72,6 +72,12 @@ class TestBandwidthRule:
         with pytest.raises(ValueError):
             BandwidthRule.fixed(0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("make", [BandwidthRule.fixed, BandwidthRule.auto], ids=["fixed", "auto"])
+    def test_non_finite_rejected(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
+
     def test_auto_needs_t20(self):
         x = RngStream(1).generator().standard_normal(19)
         with pytest.raises(ValueError, match="fixed"):

@@ -5,105 +5,118 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_autocov, brute_residual_rows
+from secondwild.bootstrap import BootstrapConfig, run_bootstrap, run_plugin
 from secondwild.errors import DegenerateVarianceError
+from secondwild.hac import hac_arcoef_cov, hac_autocorr_cov, hac_autocov_cov
+from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
 from secondwild.series import (
-    TimeSeries,
     ar_order_select_aic,
     autocov_vector,
     estimate_second_order,
     linearization_matrix,
-    sample_autocorr,
-    sample_autocov,
     second_order_residual_matrix,
     yule_walker_fit,
 )
+from secondwild.sieve import SieveConfig, ar_sieve_bootstrap
 
 finite_series = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=2, max_size=40
 )
 
+_RO_CFG = BootstrapConfig(d=4, p=2, H=(0, 1, 2), I=(1, 2), B=50, seed=1)
+_RO_CALLS = {
+    "estimate_second_order": lambda x, est, k_T: estimate_second_order(x, 4, 2),
+    "select_bandwidth": lambda x, est, k_T: select_bandwidth(x, BandwidthRule.auto()),
+    "second_order_residual_matrix": lambda x, est, k_T: second_order_residual_matrix(x, est.sigma_hat, 4),
+    "hac_autocov_cov": lambda x, est, k_T: hac_autocov_cov(x, est, (0, 1, 2), k_T),
+    "hac_autocorr_cov": lambda x, est, k_T: hac_autocorr_cov(x, est, (1, 2), k_T),
+    "hac_arcoef_cov": lambda x, est, k_T: hac_arcoef_cov(x, est, 2, k_T),
+    "run_bootstrap": lambda x, est, k_T: run_bootstrap(x, _RO_CFG),
+    "run_plugin": lambda x, est, k_T: run_plugin(x, _RO_CFG, n_mc=1000),
+    "ar_sieve_bootstrap": lambda x, est, k_T: ar_sieve_bootstrap(
+        x, 4, 2, (0, 1, 2), (1, 2), SieveConfig(p_max=4, B=50, seed=1)
+    ),
+}
+
 
 class TestTimeSeries:
+    """A series is a plain 1-D float array, validated and never copied."""
+
     def test_validates_length(self):
         with pytest.raises(ValueError, match="at least 2"):
-            TimeSeries(np.array([1.0]))
+            autocov_vector(np.array([1.0]), 0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            TimeSeries(np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(ValueError, match="non-finite value at position 1"):
+            autocov_vector(np.array([1.0, np.nan, 2.0]), 1)
 
-    def test_centering_flag(self):
-        ts = TimeSeries.from_values([1.0, 2.0, 3.0], center=True)
-        assert ts.centered
-        assert ts.values.mean() == pytest.approx(0.0, abs=1e-15)
-        raw = TimeSeries.from_values([1.0, 2.0, 3.0])
-        assert not raw.centered
-        assert raw.values[0] == 1.0
+    def test_rejects_non_vector(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            autocov_vector(np.ones((3, 2)), 1)
 
-    def test_values_read_only(self):
-        ts = TimeSeries.from_values([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            ts.values[0] = 5.0
+    @pytest.mark.parametrize("name", list(_RO_CALLS))
+    def test_read_only_input_not_written(self, name):
+        x = RngStream(43).generator().standard_normal(300)
+        x.setflags(write=False)
+        before = x.tobytes()
+        est = estimate_second_order(x, 4, 2)
+        k_T = select_bandwidth(x, BandwidthRule.auto())
+        _RO_CALLS[name](x, est, k_T)
+        assert x.tobytes() == before
 
 
 class TestSampleAutocov:
     def test_hand_example(self):
-        assert sample_autocov([1, 2, 3, 4], 1) == pytest.approx(5.0)
+        assert autocov_vector([1, 2, 3, 4], 1)[1] == pytest.approx(5.0)
 
     def test_zero_series(self):
-        for j in range(4):
-            assert sample_autocov([0, 0, 0, 0, 0], j) == 0.0
+        assert np.all(autocov_vector([0, 0, 0, 0, 0], 3) == 0.0)
 
     def test_lag_zero_mean_square(self):
-        assert sample_autocov([1, -1, 1, -1], 0) == pytest.approx(1.0)
+        assert autocov_vector([1, -1, 1, -1], 0)[0] == pytest.approx(1.0)
 
     def test_lag_out_of_range_names_lag(self):
         with pytest.raises(ValueError, match="lag 4"):
-            sample_autocov([1, 2, 3, 4], 4)
+            autocov_vector([1, 2, 3, 4], 4)
         with pytest.raises(ValueError, match="lag -1"):
-            sample_autocov([1, 2, 3, 4], -1)
+            autocov_vector([1, 2, 3, 4], -1)
 
     @given(finite_series, st.integers(min_value=0, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, data, j):
         if j >= len(data):
             j = len(data) - 1
-        fast = sample_autocov(data, j)
-        assert fast == pytest.approx(brute_autocov(data, j), rel=1e-12, abs=1e-12)
-
-    def test_vector_agrees_with_scalar(self):
-        x = RngStream(1).generator().standard_normal(50)
-        vec = autocov_vector(x, 6)
-        for j in range(7):
-            assert vec[j] == pytest.approx(sample_autocov(x, j), rel=0, abs=0)
+        fast = autocov_vector(data, j)
+        for k in range(j + 1):
+            assert fast[k] == pytest.approx(brute_autocov(data, k), rel=1e-12, abs=1e-12)
 
 
 class TestSampleAutocorr:
     def test_hand_example(self):
-        assert sample_autocorr([1, -1, 1, -1], 1) == pytest.approx(-0.75)
+        assert estimate_second_order([1, -1, 1, -1], 1, 1).rho_hat[1] == pytest.approx(-0.75)
 
     def test_lag_zero_is_one(self):
-        assert sample_autocorr([0.3, 1.2, -0.7], 0) == 1.0
+        assert estimate_second_order([0.3, 1.2, -0.7], 1, 1).rho_hat[0] == 1.0
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVarianceError):
-            sample_autocorr([0.0, 0.0, 0.0], 1)
+            estimate_second_order([0.0, 0.0, 0.0], 1, 1)
 
     def test_ar1_large_sample(self):
         from secondwild.dgp import DgpSpec, gen_series
 
         x = gen_series(DgpSpec("ar1", "independent", T=10**5, rho=0.7, seed=101))
-        assert sample_autocorr(x, 1) == pytest.approx(0.70, abs=0.01)
+        assert estimate_second_order(x, 1, 1).rho_hat[1] == pytest.approx(0.70, abs=0.01)
 
     @given(finite_series, st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_one(self, data, j):
         j = min(j, len(data) - 1)
         arr = np.asarray(data)
-        if sample_autocov(arr, 0) == 0.0:
+        if autocov_vector(arr, 0)[0] == 0.0:
             return
-        assert abs(sample_autocorr(arr, j)) <= 1.0 + 1e-12
+        assert np.abs(estimate_second_order(arr, j, 1).rho_hat).max() <= 1.0 + 1e-12
 
 
 class TestYuleWalker:
@@ -188,18 +201,17 @@ class TestOrderSelection:
 class TestLinearization:
     def test_order_one(self):
         lin = linearization_matrix([1.0, 0.5], 1)
-        assert lin.B == pytest.approx(np.array([[-0.5, 1.0]]))
-        assert not lin.used_pinv
+        assert lin == pytest.approx(np.array([[-0.5, 1.0]]))
 
     def test_identity_sigma_zero_gamma(self):
         lin = linearization_matrix([1.0, 0.0, 0.0], 2)
-        assert lin.B[:, 0] == pytest.approx([0.0, 0.0])
-        assert lin.B[:, 1] == pytest.approx([1.0, 0.0])
-        assert lin.B[:, 2] == pytest.approx([0.0, 1.0])
+        assert lin[:, 0] == pytest.approx([0.0, 0.0])
+        assert lin[:, 1] == pytest.approx([1.0, 0.0])
+        assert lin[:, 2] == pytest.approx([0.0, 1.0])
 
     def test_order_one_zero_gamma(self):
         lin = linearization_matrix([1.0, 0.0], 1)
-        assert lin.B == pytest.approx(np.array([[0.0, 1.0]]))
+        assert lin == pytest.approx(np.array([[0.0, 1.0]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -210,7 +222,7 @@ class TestLinearization:
         # studentized autocorrelation sequence
         g = RngStream(23).generator()
         x = g.standard_normal(64)
-        x = x / np.sqrt(sample_autocov(x, 0))  # rescale so sigma_hat_0 = 1
+        x = x / np.sqrt(autocov_vector(x, 0)[0])  # rescale so sigma_hat_0 = 1
         sigma = autocov_vector(x, 1)
         assert sigma[0] == pytest.approx(1.0, abs=1e-12)
         lin = linearization_matrix(sigma, 1)
@@ -218,7 +230,7 @@ class TestLinearization:
         z_lin = np.zeros(T)
         z_thm = np.zeros(T)
         for i in range(1, T):
-            z_lin[i] = lin.B[0, 0] * (x[i] * x[i] - sigma[0]) + lin.B[0, 1] * (x[i] * x[i - 1] - sigma[1])
+            z_lin[i] = lin[0, 0] * (x[i] * x[i] - sigma[0]) + lin[0, 1] * (x[i] * x[i - 1] - sigma[1])
             z_thm[i] = -(sigma[1] / sigma[0] ** 2) * (x[i] * x[i] - sigma[0]) + (
                 x[i] * x[i - 1] - sigma[1]
             ) / sigma[0]

@@ -98,7 +98,7 @@ class TestSieveBootstrap:
 def test_whiteness_of_residual_pool_after_fit():
     # on an AR(1) the fitted residuals should be close to white
     x = gen_series(DgpSpec("ar1", "independent", T=2000, rho=0.8, seed=41))
-    p_fit, coef, _, pool = sieve_mod._fit_sieve(x.values, 6)
+    p_fit, coef, _, pool = sieve_mod._fit_sieve(x, 6)
     assert p_fit >= 1
     assert abs(pool.mean()) < 1e-12  # centered
     lag1 = np.mean(pool[1:] * pool[:-1]) / np.mean(pool * pool)
