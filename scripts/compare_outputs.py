@@ -14,12 +14,20 @@ where, when and how long a run went.  Every command runs in a fresh interpreter 
 thread, because a threaded dot product over a long series rounds
 differently from one thread to another.
 
+A JSON or CSV file that differs is summarized on its line: how many
+numeric values differ and the largest relative difference
+|base - head| / max(|base|, |head|) among them, plus the path of every
+other difference (a string, a boolean, a non-finite number, a key or a
+row present on one side only).
+
 Exit status: 0 when every file matches, 1 otherwise.  Standard library only.
 """
 
 import argparse
+import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -85,13 +93,90 @@ def run_cli(src: Path, command: list[str], out: Path, input_csv: Path) -> None:
         raise SystemExit(f"{' '.join(argv)} failed with PYTHONPATH={src}:\n{done.stderr}")
 
 
+def comparable_json(path: Path):
+    data = json.loads(path.read_text())
+    if path.name.endswith("manifest.json"):
+        for key in UNTIMED_MANIFEST_KEYS:
+            data.pop(key, None)
+    return data
+
+
 def comparable_bytes(path: Path) -> bytes:
     if not path.name.endswith("manifest.json"):
         return path.read_bytes()
-    manifest = json.loads(path.read_text())
-    for key in UNTIMED_MANIFEST_KEYS:
-        manifest.pop(key, None)
-    return json.dumps(manifest, sort_keys=True).encode()
+    return json.dumps(comparable_json(path), sort_keys=True).encode()
+
+
+def leaves(value, path=""):
+    """(path, leaf) pairs of a parsed JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def csv_leaves(path: Path):
+    """(line:column, cell) pairs of a CSV file whose first row names the columns.
+
+    A ``# manifest: {...}`` line gives the leaves of its JSON under
+    ``line:manifest``, any other ``#`` line the line itself.
+    """
+    header = None
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.startswith("# manifest: "):
+            yield from leaves(json.loads(line[len("# manifest: "):]), f"{lineno}:manifest")
+            continue
+        if line.startswith("#"):
+            yield str(lineno), line
+            continue
+        row = next(csv.reader([line]))
+        if header is None:
+            header = row
+            continue
+        for index, cell in enumerate(row):
+            column = header[index] if index < len(header) else str(index)
+            try:
+                cell = float(cell)
+            except ValueError:
+                pass
+            yield f"{lineno}:{column}", cell
+
+
+MISSING = object()
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def summarize_difference(base_file: Path, head_file: Path) -> str:
+    """Numeric values that differ and the largest relative difference, then other differing paths."""
+    if base_file.suffix == ".json":
+        base, head = (dict(leaves(comparable_json(f))) for f in (base_file, head_file))
+    elif base_file.suffix == ".csv":
+        base, head = (dict(csv_leaves(f)) for f in (base_file, head_file))
+    else:
+        return ""
+    numeric, differing, largest, other = 0, 0, 0.0, []
+    for key in sorted(base.keys() | head.keys()):
+        a, b = base.get(key, MISSING), head.get(key, MISSING)
+        numeric += is_number(a) and is_number(b)
+        if repr(a) == repr(b):
+            continue
+        if is_number(a) and is_number(b) and math.isfinite(a) and math.isfinite(b):
+            differing += 1  # 0.0 against -0.0, or 0 against 0.0, differs by 0
+            scale = max(abs(a), abs(b))
+            largest = max(largest, abs(a - b) / scale if scale else 0.0)
+        else:
+            other.append(key)
+    summary = f"{differing} of {numeric} numeric values differ, largest relative difference {largest:.3g}"
+    if other:
+        summary += "; also " + ", ".join(other)
+    return f" ({summary})"
 
 
 def main() -> int:
@@ -120,7 +205,7 @@ def main() -> int:
             elif comparable_bytes(base_file) == comparable_bytes(head_file):
                 verdict = "same"
             else:
-                verdict = "DIFFERENT"
+                verdict = "DIFFERENT" + summarize_difference(base_file, head_file)
             differing += verdict != "same"
             print(f"{name}/{rel}: {verdict}")
     print(f"{total - differing} of {total} result files byte-identical (base {args.base}, head working tree)")

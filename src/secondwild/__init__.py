@@ -57,7 +57,6 @@ from .quantiles import ecdf_pvalue, ecdf_quantile
 from .rng import RngStream, derive_seed
 from .series import (
     SecondOrderEstimates,
-    YuleWalkerFit,
     ar_order_select_aic,
     autocov_vector,
     estimate_second_order,
@@ -66,7 +65,7 @@ from .series import (
 )
 from .sieve import SieveConfig, ar_sieve_bootstrap, stabilize_ar
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 __all__ = [
     "ApproxCheckReport",
@@ -93,7 +92,6 @@ __all__ = [
     "TARGET_AUTOCOV",
     "TestResult",
     "VarianceStudyReport",
-    "YuleWalkerFit",
     "all_scenarios",
     "ar_autocovariances",
     "ar_order_select_aic",

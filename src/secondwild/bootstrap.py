@@ -10,13 +10,16 @@ quantiles of the replicate max statistics:
     2. multipliers e_1..e_T joint normal, E[e_s e_t] = K((s - t)/k_T)
     3. replicate   sigma*_j = sigma_hat_j + (1/T) sum_{i>j} eps_i^(j) e_i,
                    rho*_j = sigma*_j / sigma*_0,
-                   a* from the Moore-Penrose Yule-Walker solve on sigma*
+                   a* = series.yule_walker_fit(sigma*), the same
+                   Moore-Penrose solve that gives a_hat
     4. quantiles   of sqrt(T) max-deviations over B replicates
     5. bands       estimate +- radius / sqrt(T), or threshold tests.
 
 Replicate b draws its multipliers from stream (seed, b).  The replicates
 run serially on one thread; ``_wild_sigma_star`` draws them for both
-``run_bootstrap`` and the coverage study.
+``run_bootstrap`` and the coverage study, and ``_max_deviations`` turns
+autocovariance rows into max-deviations for both bootstraps and the
+coverage study's observed statistics.
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ from .kernels import BandwidthRule, kernel_gram, select_bandwidth
 from .quantiles import ecdf_pvalue, ecdf_quantile
 from .rng import RngStream
 from .series import (
-    PINV_RCOND,
     SecondOrderEstimates,
     _values,
     estimate_second_order,
     normalize_lag_set,
     second_order_residual_matrix,
+    yule_walker_fit,
 )
 
 # Replicates are drawn in chunks of this many, so the T x _CHUNK block of
@@ -192,20 +195,6 @@ class InferenceReport:
         return out
 
 
-def _pinv_yule_walker(sigma: np.ndarray, p: int) -> np.ndarray:
-    """Moore-Penrose Yule-Walker solve, used unconditionally on replicates.
-
-    ``sigma`` holds autocovariances at lags 0..>=p, as one vector or as the
-    rows of a stack; the stack is solved in one batched ``pinv`` and
-    ``matmul``, which give each row the bits of its own solve.
-    """
-    S = np.atleast_2d(sigma)
-    lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    pinv = np.linalg.pinv(S[:, lags], rcond=PINV_RCOND, hermitian=True)
-    a = np.matmul(pinv, S[:, 1 : p + 1, None])[..., 0]
-    return a[0] if np.ndim(sigma) == 1 else a
-
-
 @lru_cache(maxsize=32)
 def multiplier_factor(T: int, k_T: float) -> PsdFactor:
     """Factor of the multiplier covariance K((s - t)/k_T), cached."""
@@ -227,13 +216,10 @@ def run_bootstrap(x, config: BootstrapConfig) -> tuple[InferenceReport, Bootstra
     est = estimate_second_order(v, config.d, config.p, config.H, config.I)
     rows = second_order_residual_matrix(v, est.sigma_hat, config.d)
     k_T = select_bandwidth(v, config.bandwidth)
-    deltas, sigma_star, degenerate = _wild_sigma_star(
+    sigma_star, degenerate = _wild_sigma_star(
         est.sigma_hat, rows, multiplier_factor(T, k_T), config.seed, config.B
     )
-    a_star = _pinv_yule_walker(sigma_star, config.p)
-    draws = BootstrapDraws(
-        *_wild_max_deviations(deltas, sigma_star, a_star, est.rho_hat, est.a_hat, config.H, config.I, T)
-    )
+    draws = _max_deviations(sigma_star, est.sigma_hat, config.H, config.I, config.p, T)
     level = 1.0 - config.alpha
     radii = {target: ecdf_quantile(values, level) for target, values in draws.by_target().items()}
     report = InferenceReport(
@@ -257,48 +243,50 @@ def _gaussian_multipliers(factor: PsdFactor, seed: int, b: int) -> np.ndarray:
 
 def _wild_sigma_star(
     sigma_hat: np.ndarray, rows: np.ndarray, factor: PsdFactor, seed: int, B: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Wild replicates 1..B, one row each.
 
-    Returns the perturbations delta = rows @ e / T, sigma* = sigma_hat + delta
-    and the number of redrawn replicates.  Replicate b's multipliers e come
-    from stream (seed, b); one whose sigma*_0 is exactly zero is redrawn
-    once from stream (seed, B + b), and a second failure raises
-    ``NumericalError``.
+    Returns sigma* = sigma_hat + rows @ e / T and the number of redrawn
+    replicates.  Replicate b's multipliers e come from stream (seed, b);
+    one whose sigma*_0 is exactly zero is redrawn once from stream
+    (seed, B + b), and a second failure raises ``NumericalError``.
     """
     T = rows.shape[1]
-    deltas = np.empty((B, rows.shape[0]))
+    sigma_star = np.empty((B, rows.shape[0]))
     for start in range(0, B, _CHUNK):
         stop = min(start + _CHUNK, B)
         eps = np.empty((T, stop - start))
         for offset, b in enumerate(range(start + 1, stop + 1)):
             eps[:, offset] = _gaussian_multipliers(factor, seed, b)
-        deltas[start:stop] = (rows @ eps / T).T
-    sigma_star = sigma_hat + deltas
+        sigma_star[start:stop] = sigma_hat + (rows @ eps / T).T
     degenerate = np.flatnonzero(sigma_star[:, 0] == 0.0)
     for i in degenerate:
         b = int(i) + 1
-        delta = rows @ _gaussian_multipliers(factor, seed, B + b) / T
-        redrawn = sigma_hat + delta
-        if redrawn[0] == 0.0:
+        sigma_star[i] = sigma_hat + rows @ _gaussian_multipliers(factor, seed, B + b) / T
+        if sigma_star[i, 0] == 0.0:
             raise NumericalError(f"replicate {b} degenerate (sigma*_0 = 0) after one redraw")
-        deltas[i] = delta
-        sigma_star[i] = redrawn
-    return deltas, sigma_star, degenerate.size
+    return sigma_star, degenerate.size
 
 
-def _wild_max_deviations(deltas, sigma_star, a_star, rho_hat, a_hat, H, I, T: int) -> tuple[np.ndarray, ...]:
-    """sqrt(T)-scaled max deviations of wild replicates, one entry per row.
+def _max_deviations(sigma: np.ndarray, centre: np.ndarray, H, I, p: int, T: int) -> BootstrapDraws:
+    """sqrt(T)-scaled max deviations of autocovariance rows from a centre.
 
-    ``rho_hat`` and ``a_hat`` are the sample estimates: one vector, or one
-    row per replicate.
+    ``sigma`` holds autocovariances at lags 0..d, one row per replicate or
+    repetition; ``centre`` is one such vector, or one per row.  Rows and
+    centre are finished alike: rho_j = sigma_j / sigma_0 (0 where
+    sigma_0 = 0) and a = ``yule_walker_fit(sigma, p)``.
     """
     H = np.asarray(H)
     I = np.asarray(I)
-    return (
-        _max_abs(deltas[:, H], T),
-        _max_abs(sigma_star[:, I] / sigma_star[:, :1] - rho_hat[..., I], T),
-        _max_abs(a_star - a_hat, T),
+
+    def rho(s):
+        s0 = s[..., :1]
+        return np.divide(s, s0, out=np.zeros_like(s), where=s0 != 0.0)
+
+    return BootstrapDraws(
+        _max_abs(sigma[:, H] - centre[..., H], T),
+        _max_abs(rho(sigma)[:, I] - rho(centre)[..., I], T),
+        _max_abs(yule_walker_fit(sigma, p) - yule_walker_fit(centre, p), T),
     )
 
 

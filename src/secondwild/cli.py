@@ -115,9 +115,10 @@ def read_series_csv(path: str) -> np.ndarray:
     A plain column of numbers is parsed by ``np.loadtxt`` in C.  Anything it
     rejects (a header, blank or whitespace-only lines, empty fields, Python
     float spellings such as ``1_0``) or a result that is not one column of
-    at least 2 values falls through to the line loop, which alone decides
-    what is accepted and words every error.  Where both parse a file they
-    give bit-identical values.
+    at least 2 finite values falls through to the line loop, which alone
+    decides what is accepted and words every error, naming the file line.
+    A non-finite value (``nan``, ``inf``) is such an error.  Where both
+    parse a file they give bit-identical values.
     """
     try:
         with warnings.catch_warnings():
@@ -125,7 +126,7 @@ def read_series_csv(path: str) -> np.ndarray:
             fast = np.loadtxt(path, dtype=float, delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError):
         fast = None
-    if fast is not None and fast.shape[1] == 1 and fast.shape[0] >= 2:
+    if fast is not None and fast.shape[1] == 1 and fast.shape[0] >= 2 and np.isfinite(fast).all():
         return fast[:, 0]
     try:
         raw = Path(path).read_text()
@@ -147,6 +148,8 @@ def read_series_csv(path: str) -> np.ndarray:
                 header_allowed = False
                 continue
             raise InputDataError(f"{path}:{lineno}: not a number: {fields[0]!r}") from None
+        if not np.isfinite(values[-1]):
+            raise InputDataError(f"{path}:{lineno}: not a finite number: {fields[0]!r}")
         header_allowed = False
     if len(values) < 2:
         raise InputDataError(f"{path}: needs at least 2 numeric values, found {len(values)}")

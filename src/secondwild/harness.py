@@ -11,15 +11,16 @@ Repetitions run serially, in blocks of up to 256 (in full mode, of at
 most 256 replicates per method).  Each repetition still draws from its own
 ``derive_seed`` streams, but the block is simulated in one pass
 (``gen_series_block``), each series' correlogram is computed once and
-feeds the bandwidth rule, the estimates and the sieve's AIC, the
+feeds the bandwidth rule, the estimates and the sieve's AIC, and the
 replicates come from ``_wild_sigma_star`` and ``_sieve_sigma_star`` (which
-``run_bootstrap`` and ``ar_sieve_bootstrap`` also call), and every
-Yule-Walker finish of the block (wild and sieve replicates, sieve model
-truths) goes through one stacked pseudo-inverse.  Each of these steps
-repeats the arithmetic of the one-repetition-at-a-time path, so reports
-are the same bytes as running ``gen_series``, ``run_bootstrap`` and
-``ar_sieve_bootstrap`` per repetition (``tests/conftest.py`` keeps that
-loop as the reference).
+``run_bootstrap`` and ``ar_sieve_bootstrap`` also call).  The block ends in
+three stacked ``_max_deviations`` calls, the bootstraps' own finish: the
+observed estimates against the scenario truth, the wild replicates
+against their estimates, and the sieve replicates against their model
+truths.  Each of these steps repeats the arithmetic of the
+one-repetition-at-a-time path, so reports are the same bytes as running
+``gen_series``, ``run_bootstrap`` and ``ar_sieve_bootstrap`` per
+repetition (``tests/conftest.py`` keeps that loop as the reference).
 
 The nonlinear model's plug-in truth comes from one path of 10^7 steps.
 Its autocovariances at lags 0..64 are stored in ``_nlar2_truth.py``
@@ -38,14 +39,7 @@ import numpy as np
 import scipy.stats
 
 from ._nlar2_truth import NLAR2_TRUTH_AUTOCOV
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapDraws,
-    _pinv_yule_walker,
-    _wild_max_deviations,
-    _wild_sigma_star,
-    multiplier_factor,
-)
+from .bootstrap import BootstrapConfig, _max_deviations, _wild_sigma_star, multiplier_factor
 from .dgp import MODELS, DgpSpec, InnovationKind, gen_series, gen_series_block, model_autocovariances, parse_innovation
 from .gaussian import max_abs_normal_sample
 from .hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
@@ -53,14 +47,13 @@ from .kernels import BandwidthRule, _bandwidth_from_correlogram, _correlogram_la
 from .quantiles import ecdf_quantile
 from .rng import RngStream, derive_seed
 from .series import (
-    _estimates_from_autocov,
     ar_order_select_aic,
     autocov_vector,
     estimate_second_order,
     normalize_lag_set,
     second_order_residual_matrix,
 )
-from .sieve import SieveConfig, _fit_sieve_autocov, _sieve_max_deviations, _sieve_sigma_star, _sieve_world
+from .sieve import SieveConfig, _fit_sieve_autocov, _sieve_sigma_star, _sieve_world
 
 TARGETS = (TARGET_AUTOCOV, TARGET_AUTOCORR, TARGET_ARCOEF)
 METHODS = ("wild", "sieve")
@@ -70,9 +63,9 @@ _TRUTH_SEED = 77_003_917
 _TRUTH_LENGTH = 10**7
 _TRUTH_BURN_IN = 10_000
 
-# Repetitions simulated together and finished by one stacked Yule-Walker
-# solve.  In full mode a block is cut so that it holds at most this many
-# replicates per method.
+# Repetitions simulated together and finished by three stacked
+# ``_max_deviations`` calls (observed, wild, sieve).  In full mode a block is
+# cut so that it holds at most this many replicates per method.
 _BLOCK = 256
 
 
@@ -341,8 +334,6 @@ def coverage_study(
     scenarios = [s if isinstance(s, Scenario) else Scenario.parse(str(s)) for s in scenarios]
     H = normalize_lag_set(H, d, 0, "H")
     I = normalize_lag_set(I, d, 1, "I")
-    H_idx = np.asarray(H)
-    I_idx = np.asarray(I)
     level = 1.0 - alpha
     B_rep = 1 if mode == "warp_speed" else B
     if "sieve" in methods:  # validated once; the blocks take the values directly
@@ -353,7 +344,6 @@ def coverage_study(
     rows: list[CoverageRow] = []
     for s_idx, scen in enumerate(scenarios):
         sigma_true, approx = true_autocovariances(scen.model, scen.innovation, scen.rho, d)
-        rho_true = sigma_true / sigma_true[0]
         spec = DgpSpec(model=scen.model, innovation=scen.innovation, T=T, rho=scen.rho, burn_in=burn_in)
         pilot_orders = []
         for i in range(11):
@@ -362,14 +352,13 @@ def coverage_study(
         p_scen = int(np.bincount(pilot_orders).argmax())
         if "wild" in methods:  # validated once, as the sieve's above
             BootstrapConfig(d=d, p=p_scen, H=H, I=I, B=B_rep, alpha=alpha)
-        a_true = _pinv_yule_walker(sigma_true, p_scen)
         stats = {t: np.empty(reps) for t in TARGETS}
         draws = {m: {t: np.empty(reps) for t in TARGETS} for m in methods}
         covered = {m: {t: np.empty(reps, dtype=bool) for t in TARGETS} for m in methods}
         kts = np.empty(reps)
 
         def _record(method: str, block: range, deviations) -> None:
-            by_target = BootstrapDraws(*deviations).by_target()
+            by_target = deviations.by_target()
             for t in TARGETS:
                 per_rep = by_target[t].reshape(len(block), B_rep)
                 if mode == "warp_speed":
@@ -380,54 +369,33 @@ def coverage_study(
 
         for block in _blocks(reps, block_size):
             seeds = [derive_seed(stream.seed, (stream.stream_index, s_idx, r, 0)) for r in block]
-            ests, wild_deltas, wild_sigma, worlds, sieve_sigma = [], [], [], [], []
+            sigma_hat, wild_sigma, model_sigma, sieve_sigma = [], [], [], []
             for r, v in zip(block, gen_series_block(spec, seeds)):
                 sigma = autocov_vector(v, n_lags)
                 k_T = _bandwidth_from_correlogram(sigma, T, bandwidth_c)
                 kts[r] = k_T
-                est = _estimates_from_autocov(sigma[: d + 1], T, p_scen, H, I)
-                ests.append(est)
-                stats[TARGET_AUTOCOV][r] = np.sqrt(T) * np.abs(est.sigma_hat[H_idx] - sigma_true[H_idx]).max()
-                stats[TARGET_AUTOCORR][r] = np.sqrt(T) * np.abs(est.rho_hat[I_idx] - rho_true[I_idx]).max()
-                stats[TARGET_ARCOEF][r] = np.sqrt(T) * np.abs(est.a_hat - a_true).max()
+                sigma_hat.append(sigma[: d + 1])
                 if "wild" in methods:
-                    residuals = second_order_residual_matrix(v, est.sigma_hat, d)
+                    residuals = second_order_residual_matrix(v, sigma_hat[-1], d)
                     seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 1))
-                    deltas, sigma_star, _ = _wild_sigma_star(
-                        est.sigma_hat, residuals, multiplier_factor(T, k_T), seed, B_rep
+                    wild_sigma.append(
+                        _wild_sigma_star(sigma_hat[-1], residuals, multiplier_factor(T, k_T), seed, B_rep)[0]
                     )
-                    wild_deltas.append(deltas)
-                    wild_sigma.append(sigma_star)
                 if "sieve" in methods:
                     world = _sieve_world(_fit_sieve_autocov(v, sigma, p_max), d)
-                    worlds.append(world)
+                    model_sigma.append(world.sigma)
                     seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 2))
                     sieve_sigma.append(_sieve_sigma_star(world, seed, B_rep, burn_in, T, d))
-            if not methods:
-                continue
-            # One stacked Yule-Walker solve finishes the block: wild
-            # replicates, then sieve model truths, then sieve replicates.
-            model_sigma = [w.sigma for w in worlds]
-            a_all = _pinv_yule_walker(np.vstack(wild_sigma + model_sigma + sieve_sigma), p_scen)
-            n_wild = len(block) * B_rep if wild_sigma else 0
-            a_wild, a_model, a_sieve = np.split(a_all, [n_wild, n_wild + len(worlds)])
+            observed = _max_deviations(np.array(sigma_hat), sigma_true, H, I, p_scen, T).by_target()
+            for t in TARGETS:
+                stats[t][block.start : block.stop] = observed[t]
             if wild_sigma:
-                _record("wild", block, _wild_max_deviations(
-                    np.concatenate(wild_deltas),
-                    np.concatenate(wild_sigma),
-                    a_wild,
-                    np.repeat([e.rho_hat for e in ests], B_rep, axis=0),
-                    np.repeat([e.a_hat for e in ests], B_rep, axis=0),
-                    H, I, T,
+                _record("wild", block, _max_deviations(
+                    np.concatenate(wild_sigma), np.repeat(sigma_hat, B_rep, axis=0), H, I, p_scen, T
                 ))
-            if worlds:
-                _record("sieve", block, _sieve_max_deviations(
-                    np.concatenate(sieve_sigma),
-                    a_sieve,
-                    np.repeat(model_sigma, B_rep, axis=0),
-                    np.repeat([w.rho for w in worlds], B_rep, axis=0),
-                    np.repeat(a_model, B_rep, axis=0),
-                    H, I, T,
+            if sieve_sigma:
+                _record("sieve", block, _max_deviations(
+                    np.concatenate(sieve_sigma), np.repeat(model_sigma, B_rep, axis=0), H, I, p_scen, T
                 ))
 
         mean_kt = float(kts.mean())

@@ -8,6 +8,10 @@ with no tapering and no bias correction.  A series is a 1-D float array,
 assumed to have zero mean: the estimators never center it, so callers
 working with raw data subtract the sample mean first (the CLI does unless
 given ``--no-center``).
+
+``yule_walker_fit`` is the package's one Yule-Walker solve: the point
+estimate a_hat, every bootstrap replicate a* and every model or scenario
+truth take the same Moore-Penrose solution of the Toeplitz system.
 """
 
 from __future__ import annotations
@@ -55,46 +59,35 @@ def autocov_vector(x, d: int) -> np.ndarray:
     return np.array([v[j:] @ v[: T - j] for j in range(d + 1)]) / T
 
 
-@dataclass(frozen=True)
-class YuleWalkerFit:
-    """Solution of the sample Yule-Walker system.
+def yule_walker_fit(sigma: ArrayLike, p: int) -> np.ndarray:
+    """AR coefficients of order ``p`` from autocovariances sigma_0..sigma_p.
 
-    ``used_pinv`` is True when the Toeplitz solve failed or was unreliable
-    and the minimum-norm pseudo-inverse solution was returned instead.
+    Solves Sigma a = gamma, where Sigma = {sigma_|j-k|} is the p x p Toeplitz
+    autocovariance matrix and gamma = (sigma_1, ..., sigma_p), as
+    a = pinv(Sigma) gamma with rcond ``PINV_RCOND``: the unique solution
+    when Sigma has full rank, and the minimum-norm least-squares one when it
+    does not.  ``sigma`` holds autocovariances at lags 0..>=p, as one vector
+    or as the rows of a stack; the stack is solved in one batched ``pinv``
+    and ``matmul``, which give each row the bits of its own solve.  A row
+    too small for that solve (subnormal autocovariances, whose kept singular
+    values overflow on inversion) is solved again divided by its sigma_0,
+    which leaves a unchanged.
     """
+    S = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if p < 1 or S.ndim != 2 or S.shape[1] < p + 1:
+        raise ValueError(f"need order p >= 1 and autocovariances 0..{p}, got shape {S.shape}")
+    lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
 
-    a: np.ndarray
-    used_pinv: bool = False
+    def solve(rows):
+        pinv = np.linalg.pinv(rows[:, lags], rcond=PINV_RCOND, hermitian=True)
+        return np.matmul(pinv, rows[:, 1 : p + 1, None])[..., 0]
 
-
-def yule_walker_fit(sigma: ArrayLike, p: int) -> YuleWalkerFit:
-    """Fit AR coefficients of order ``p`` from autocovariances sigma_0..sigma_p.
-
-    Solves Sigma a = gamma where Sigma = {sigma_|j-k|} is the p x p Toeplitz
-    autocovariance matrix and gamma = (sigma_1, ..., sigma_p).  A direct
-    Toeplitz solve is attempted first; if it fails or leaves a residual
-    above 1e-8 * max(1, |gamma|_inf), the Moore-Penrose pseudo-inverse
-    (rcond ``PINV_RCOND``) supplies the minimum-norm solution and the result
-    is flagged.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if p < 1:
-        raise ValueError(f"order p must be >= 1, got {p}")
-    if sigma.ndim != 1 or sigma.size < p + 1:
-        raise ValueError(f"need autocovariances 0..{p}, got {sigma.size} values")
-    r = sigma[:p]
-    gamma = sigma[1 : p + 1]
-    scale = max(1.0, float(np.abs(gamma).max(initial=0.0)))
-    try:
-        a = scipy.linalg.solve_toeplitz(r, gamma)
-        if np.all(np.isfinite(a)):
-            resid = scipy.linalg.toeplitz(r) @ a - gamma
-            if np.abs(resid).max(initial=0.0) <= 1e-8 * scale:
-                return YuleWalkerFit(a=a, used_pinv=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ZeroDivisionError):
-        pass
-    pinv = np.linalg.pinv(scipy.linalg.toeplitz(r), rcond=PINV_RCOND, hermitian=True)
-    return YuleWalkerFit(a=pinv @ gamma, used_pinv=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = solve(S)
+    tiny = ~np.isfinite(a).all(axis=1)
+    if tiny.any():
+        a[tiny] = solve(S[tiny] / S[tiny, :1])
+    return a[0] if np.ndim(sigma) == 1 else a
 
 
 def _innovation_variances(sigma: np.ndarray, p_max: int) -> np.ndarray:
@@ -224,6 +217,8 @@ class SecondOrderEstimates:
     ``sigma_hat`` and ``rho_hat`` are indexed by lag (``rho_hat[0]`` is the
     trivial 1.0), ``a_hat[k]`` is the coefficient at lag k+1.  ``H`` and
     ``I`` are the index sets over which simultaneous statements are made.
+    ``used_pinv`` is True when the p x p Toeplitz matrix of sigma_hat has
+    rank < p at ``PINV_RCOND``, so ``a_hat`` is the minimum-norm solution.
     """
 
     sigma_hat: np.ndarray
@@ -271,16 +266,16 @@ def _estimates_from_autocov(sigma: np.ndarray, T: int, p: int, H, I) -> SecondOr
     """
     if sigma[0] == 0.0:
         raise DegenerateVarianceError("sample variance is zero, estimates undefined")
-    rho = sigma / sigma[0]
-    fit = yule_walker_fit(sigma, p)
+    # pinv's cutoff: eigenvalues at or below PINV_RCOND times the largest are dropped.
+    eig = np.abs(np.linalg.eigvalsh(scipy.linalg.toeplitz(sigma[:p])))
     return SecondOrderEstimates(
         sigma_hat=sigma,
-        rho_hat=rho,
-        a_hat=fit.a,
+        rho_hat=sigma / sigma[0],
+        a_hat=yule_walker_fit(sigma, p),
         T=T,
         d=sigma.size - 1,
         p=p,
         H=H,
         I=I,
-        used_pinv=fit.used_pinv,
+        used_pinv=bool(np.any(eig <= PINV_RCOND * eig.max())),
     )

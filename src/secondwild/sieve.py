@@ -25,8 +25,7 @@ from .bootstrap import (
     BootstrapDraws,
     InferenceReport,
     _make_bands,
-    _max_abs,
-    _pinv_yule_walker,
+    _max_deviations,
 )
 from .dgp import ar_autocovariances
 from .errors import NumericalError
@@ -105,7 +104,7 @@ def _fit_sieve_autocov(v: np.ndarray, sigma: np.ndarray, p_max: int):
         shrink_steps = 0
         resid = v.copy()
     else:
-        coef = yule_walker_fit(sigma, p_fit).a
+        coef = yule_walker_fit(sigma, p_fit)
         coef, shrink_steps = stabilize_ar(coef)
         T = v.size
         resid = v[p_fit:].copy()
@@ -125,15 +124,12 @@ class _SieveWorld:
     pool: np.ndarray
     innovation_variance: float
     sigma: np.ndarray
-    rho: np.ndarray
 
 
 def _sieve_world(fit, d: int) -> _SieveWorld:
     p_fit, coef, shrink_steps, pool = fit
     v_boot = float(np.mean(pool * pool))
-    sigma_model = ar_autocovariances(coef, v_boot, d)
-    rho_model = sigma_model / sigma_model[0] if sigma_model[0] > 0 else np.zeros(d + 1)
-    return _SieveWorld(p_fit, coef, shrink_steps, pool, v_boot, sigma_model, rho_model)
+    return _SieveWorld(p_fit, coef, shrink_steps, pool, v_boot, ar_autocovariances(coef, v_boot, d))
 
 
 def _sieve_sigma_star(world: _SieveWorld, seed: int, B: int, burn_in: int, T: int, d: int) -> np.ndarray:
@@ -152,23 +148,6 @@ def _sieve_sigma_star(world: _SieveWorld, seed: int, B: int, burn_in: int, T: in
         xs = scipy.signal.lfilter([1.0], denom, resampled)[burn_in:] if world.coef.size else resampled[burn_in:]
         out[b - 1] = autocov_vector(xs, d)
     return out
-
-
-def _sieve_max_deviations(sigma_star, a_star, sigma_model, rho_model, a_model, H, I, T: int) -> tuple[np.ndarray, ...]:
-    """sqrt(T)-scaled max deviations of sieve replicates, one entry per row.
-
-    The centres are the fitted model's parameters: one vector, or one row
-    per replicate.
-    """
-    H = np.asarray(H)
-    I = np.asarray(I)
-    s0 = sigma_star[:, :1]
-    rho_star = np.divide(sigma_star, s0, out=np.zeros_like(sigma_star), where=s0 != 0.0)
-    return (
-        _max_abs(sigma_star[:, H] - sigma_model[..., H], T),
-        _max_abs(rho_star[:, I] - rho_model[..., I], T),
-        _max_abs(a_star - a_model, T),
-    )
 
 
 def ar_sieve_bootstrap(
@@ -199,12 +178,7 @@ def ar_sieve_bootstrap(
         raise ValueError(f"series of length {T} too short for fitted order {world.p_fit}")
 
     sigma_star = _sieve_sigma_star(world, cfg.seed, cfg.B, cfg.burn_in, T, d)
-    a_all = _pinv_yule_walker(np.vstack([world.sigma, sigma_star]), p)
-    delta_sigma, delta_rho, delta_a = _sieve_max_deviations(
-        sigma_star, a_all[1:], world.sigma, world.rho, a_all[0], H, I, T
-    )
-
-    draws = BootstrapDraws(delta_sigma=delta_sigma, delta_rho=delta_rho, delta_a=delta_a)
+    draws = _max_deviations(sigma_star, world.sigma, H, I, p, T)
     level = 1.0 - cfg.alpha
     radii = {target: ecdf_quantile(values, level) for target, values in draws.by_target().items()}
     report = InferenceReport(

@@ -8,7 +8,7 @@ from conftest import reference_bootstrap_replicate, reference_pinv_yule_walker
 from secondwild.bootstrap import (
     BootstrapConfig,
     BootstrapDraws,
-    _pinv_yule_walker,
+    _max_deviations,
     hypothesis_tests,
     multiplier_factor,
     run_bootstrap,
@@ -18,7 +18,12 @@ from secondwild.errors import DegenerateVarianceError, NumericalError
 from secondwild.hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
 from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
-from secondwild.series import SecondOrderEstimates, estimate_second_order, second_order_residual_matrix
+from secondwild.series import (
+    SecondOrderEstimates,
+    estimate_second_order,
+    second_order_residual_matrix,
+    yule_walker_fit,
+)
 
 CFG = dict(d=7, p=1, H=(0, 1, 2, 3), I=(1, 2, 3, 4))
 
@@ -125,17 +130,35 @@ class TestStackedYuleWalker:
         S[40:50] = 1.0  # all-ones Toeplitz, rank 1
         S[50:55] = 0.0
         S[55:60, 1:] = S[55:60, :1]  # rank 1 again, from varying scales
-        stacked = _pinv_yule_walker(S, p)
+        stacked = yule_walker_fit(S, p)
         assert stacked.shape == (300, p)
         for row, a in zip(S, stacked):
             assert np.array_equal(a, reference_pinv_yule_walker(row, p))
-            assert np.array_equal(_pinv_yule_walker(row, p), a)
+            assert np.array_equal(yule_walker_fit(row, p), a)
+
+
+class TestMaxDeviations:
+    def test_row_equal_to_centre_is_exactly_zero(self):
+        sigma = np.array([2.0, 0.9, -0.3, 0.1, 0.05])
+        for centre in (sigma, sigma[None, :]):
+            draws = _max_deviations(sigma[None, :], centre, (0, 1, 2), (1, 2, 3), 3, 400)
+            assert [v.tolist() for v in draws.by_target().values()] == [[0.0]] * 3
+
+    def test_zero_lag_zero_row_gives_finite_values(self):
+        rows = np.array([[0.0, 0.5, -0.2, 0.1], [0.0, 0.0, 0.0, 0.0]])
+        draws = _max_deviations(rows, np.array([1.0, 0.5, 0.25, 0.125]), (0, 1, 2), (1, 2, 3), 2, 100)
+        for values in draws.by_target().values():
+            assert values.shape == (2,)
+            assert np.all(np.isfinite(values))
+        # rho is 0 where sigma_0 = 0, so the autocorrelation deviation is the centre's
+        assert draws.delta_rho == pytest.approx([5.0, 5.0])
 
 
 class TestRunBootstrap:
-    def test_zero_override_collapses_bands(self, monkeypatch):
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_zero_override_collapses_bands(self, monkeypatch, p):
         x = _series(5)
-        cfg = BootstrapConfig(B=1, seed=1, bandwidth=BandwidthRule.fixed(4.0), **CFG)
+        cfg = BootstrapConfig(B=1, seed=1, bandwidth=BandwidthRule.fixed(4.0), **dict(CFG, p=p))
         monkeypatch.setattr(bootstrap_mod, "_gaussian_multipliers", lambda factor, seed, b: np.zeros(factor.dim))
         report, draws = run_bootstrap(x, cfg)
         assert all(r == 0.0 for r in report.radii.values())

@@ -44,7 +44,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("1.5\n-2.5e-3\nnan\n", [1.5, -2.5e-3, np.nan]),
+            ("1.5\n-2.5e-3\nnan\n", ":3: not a finite number: 'nan'"),
             ("value\n1.5\n2.5\n", [1.5, 2.5]),
             ("\n1.5\n\n   \n2.5\n\n", [1.5, 2.5]),
             ("  1.5  \n\t2.5\n", [1.5, 2.5]),
@@ -57,6 +57,8 @@ class TestParsing:
             ("1.0,2.0\n3.0,4.0\n", ":1: expected one value per line, got 2"),
             ("1.0\n", "found 1"),
             ("", "found 0"),
+            ("value\n1.5\n\n-2.5e-3\nnan\n0.3\n", ":5: not a finite number: 'nan'"),
+            ("1.5\n-2.5e-3\ninf\n0.3\n", ":3: not a finite number: 'inf'"),
         ],
     )
     def test_fast_parse_agrees_with_line_loop(self, tmp_path, monkeypatch, text, expected):

@@ -11,6 +11,7 @@ from secondwild.hac import hac_arcoef_cov, hac_autocorr_cov, hac_autocov_cov
 from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
 from secondwild.series import (
+    _estimates_from_autocov,
     ar_order_select_aic,
     autocov_vector,
     estimate_second_order,
@@ -121,22 +122,45 @@ class TestSampleAutocorr:
 
 class TestYuleWalker:
     def test_order_one(self):
-        fit = yule_walker_fit([1.0, 0.7], 1)
-        assert fit.a == pytest.approx([0.7])
-        assert not fit.used_pinv
+        a = yule_walker_fit([1.0, 0.7], 1)
+        assert a == pytest.approx([0.7])
 
     def test_order_two_hand_solve(self):
-        fit = yule_walker_fit([1.0, 0.5, 0.25], 2)
-        assert fit.a == pytest.approx([0.5, 0.0], abs=1e-12)
+        a = yule_walker_fit([1.0, 0.5, 0.25], 2)
+        assert a == pytest.approx([0.5, 0.0], abs=1e-12)
 
     def test_white_noise(self):
-        fit = yule_walker_fit([1.0, 0.0, 0.0], 2)
-        assert fit.a == pytest.approx([0.0, 0.0], abs=1e-15)
+        a = yule_walker_fit([1.0, 0.0, 0.0], 2)
+        assert a == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_rank_deficient_falls_back_to_pinv(self):
-        fit = yule_walker_fit([0.0, 0.0], 1)
-        assert fit.used_pinv
-        assert fit.a == pytest.approx([0.0])
+        a = yule_walker_fit([0.0, 0.0], 1)
+        assert a == pytest.approx([0.0])
+
+    def test_used_pinv_on_rank_deficient_toeplitz(self):
+        # sigma = (1, 1, 1) at p = 2 gives the all-ones (rank 1) Toeplitz matrix
+        est = _estimates_from_autocov(np.ones(3), 100, 2, (0, 1, 2), (1, 2))
+        assert est.used_pinv
+        assert est.a_hat == pytest.approx([0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.ones(1000), (-1.0) ** np.arange(1000), np.sin(0.3 * np.arange(1000))],
+        ids=["constant", "alternating", "sinusoid"],
+    )
+    def test_used_pinv_false_on_extreme_series(self, x):
+        assert not estimate_second_order(x, 7, 7).used_pinv
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_autocovariances_give_finite_coefficients(self):
+        # autocovariances near 1e-320 are subnormal; Yule-Walker is scale-invariant,
+        # so a_hat matches the unit-scale series up to the subnormals' lost precision
+        x = np.array([1.0, 2.0, -1.0, 3.0, 0.5])
+        tiny = estimate_second_order(x * 1e-160, 3, 2).a_hat
+        assert np.all(np.isfinite(tiny))
+        assert tiny == pytest.approx(estimate_second_order(x, 3, 2).a_hat, rel=1e-3)
+        stack = yule_walker_fit(np.array([[1e-320, 5e-321, 0.0], [1.0, 0.5, 0.0]]), 2)
+        assert stack[0] == pytest.approx(stack[1], rel=1e-3)
 
     def test_residual_bound_well_conditioned(self):
         g = RngStream(7).generator()
@@ -147,9 +171,9 @@ class TestYuleWalker:
 
             coef = g.uniform(-0.4, 0.4, size=p) / max(1, p)
             sigma = ar_autocovariances(coef, 1.0, p)
-            fit = yule_walker_fit(sigma, p)
+            a = yule_walker_fit(sigma, p)
             gamma = sigma[1 : p + 1]
-            resid = scipy.linalg.toeplitz(sigma[:p]) @ fit.a - gamma
+            resid = scipy.linalg.toeplitz(sigma[:p]) @ a - gamma
             assert np.abs(resid).max() <= 1e-10 * max(1.0, np.abs(gamma).max())
 
     def test_agrees_with_dense_solve_on_random_instances(self):
@@ -160,9 +184,9 @@ class TestYuleWalker:
 
             coef = g.uniform(-0.5, 0.5, size=p) / max(1, p)
             sigma = ar_autocovariances(coef, float(g.uniform(0.5, 2.0)), p)
-            fit = yule_walker_fit(sigma, p)
+            a = yule_walker_fit(sigma, p)
             dense = np.linalg.solve(scipy.linalg.toeplitz(sigma[:p]), sigma[1 : p + 1])
-            assert np.abs(fit.a - dense).max() <= 1e-8 * max(1.0, np.abs(dense).max())
+            assert np.abs(a - dense).max() <= 1e-8 * max(1.0, np.abs(dense).max())
 
 
 class TestOrderSelection:
@@ -259,8 +283,7 @@ class TestEstimateSecondOrder:
         assert est.rho_hat[3] == pytest.approx(est.sigma_hat[3] / est.sigma_hat[0])
         assert est.H == (0, 1, 2, 3, 4, 5)
         assert est.I == (1, 2, 3, 4, 5)
-        fit = yule_walker_fit(est.sigma_hat, 2)
-        assert est.a_hat == pytest.approx(fit.a)
+        assert est.a_hat == pytest.approx(yule_walker_fit(est.sigma_hat, 2))
 
     def test_rejects_bad_sets(self):
         x = RngStream(31).generator().standard_normal(50)

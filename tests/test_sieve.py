@@ -79,7 +79,7 @@ class TestSieveBootstrap:
         from secondwild.series import autocov_vector, yule_walker_fit
 
         sigma = autocov_vector(x, 7)
-        coef = yule_walker_fit(sigma, p_fit).a
+        coef = yule_walker_fit(sigma, p_fit)
         v_yw = sigma[0] - coef @ sigma[1 : p_fit + 1]
         model_sigma = ar_autocovariances(coef, v_boot, p_fit)
         ratio = v_boot / v_yw
