@@ -18,7 +18,11 @@ A JSON or CSV file that differs is summarized on its line: how many
 numeric values differ and the largest relative difference
 |base - head| / max(|base|, |head|) among them, plus the path of every
 other difference (a string, a boolean, a non-finite number, a key or a
-row present on one side only).
+row present on one side only).  A file whose only differences are manifest
+``version`` values (in ``manifest.json``, an embedded ``manifest`` object or
+a CSV ``# manifest:`` line) is marked "version only", and the last line
+counts such files, so a version bump alone is told apart from a change of
+results.
 
 Exit status: 0 when every file matches, 1 otherwise.  Standard library only.
 """
@@ -153,20 +157,41 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def leaf_maps(base_file: Path, head_file: Path):
+    """{path: leaf} of both files, or None for a file that is neither JSON nor CSV."""
+    if base_file.suffix == ".json":
+        return [dict(leaves(comparable_json(f))) for f in (base_file, head_file)]
+    if base_file.suffix == ".csv":
+        return [dict(csv_leaves(f)) for f in (base_file, head_file)]
+    return None
+
+
+def differing_keys(base: dict, head: dict) -> list[str]:
+    keys = sorted(base.keys() | head.keys())
+    return [k for k in keys if repr(base.get(k, MISSING)) != repr(head.get(k, MISSING))]
+
+
+def version_only(base_file: Path, head_file: Path) -> bool:
+    """Whether the files differ in manifest ``version`` values and nothing else."""
+    maps = leaf_maps(base_file, head_file)
+    if maps is None:
+        return False
+    manifest = base_file.name.endswith("manifest.json")
+    return all(
+        key.endswith("manifest.version") or (manifest and key == "version") for key in differing_keys(*maps)
+    )
+
+
 def summarize_difference(base_file: Path, head_file: Path) -> str:
     """Numeric values that differ and the largest relative difference, then other differing paths."""
-    if base_file.suffix == ".json":
-        base, head = (dict(leaves(comparable_json(f))) for f in (base_file, head_file))
-    elif base_file.suffix == ".csv":
-        base, head = (dict(csv_leaves(f)) for f in (base_file, head_file))
-    else:
+    maps = leaf_maps(base_file, head_file)
+    if maps is None:
         return ""
-    numeric, differing, largest, other = 0, 0, 0.0, []
-    for key in sorted(base.keys() | head.keys()):
+    base, head = maps
+    numeric = sum(is_number(base[k]) and is_number(head[k]) for k in base.keys() & head.keys())
+    differing, largest, other = 0, 0.0, []
+    for key in differing_keys(base, head):
         a, b = base.get(key, MISSING), head.get(key, MISSING)
-        numeric += is_number(a) and is_number(b)
-        if repr(a) == repr(b):
-            continue
         if is_number(a) and is_number(b) and math.isfinite(a) and math.isfinite(b):
             differing += 1  # 0.0 against -0.0, or 0 against 0.0, differs by 0
             scale = max(abs(a), abs(b))
@@ -191,6 +216,7 @@ def main() -> int:
     run_cli(sides["head"], COMMANDS[0][1], input_csv.parent, input_csv)
 
     differing = 0
+    versions = 0
     total = 0
     for name, command in COMMANDS:
         outs = {side: work / side / name for side in sides}
@@ -206,9 +232,13 @@ def main() -> int:
                 verdict = "same"
             else:
                 verdict = "DIFFERENT" + summarize_difference(base_file, head_file)
+                if version_only(base_file, head_file):
+                    versions += 1
+                    verdict += " [version only]"
             differing += verdict != "same"
             print(f"{name}/{rel}: {verdict}")
     print(f"{total - differing} of {total} result files byte-identical (base {args.base}, head working tree)")
+    print(f"{versions} of {differing} differing files differ only in manifest version")
     return 0 if differing == 0 else 1
 
 

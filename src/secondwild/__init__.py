@@ -65,7 +65,7 @@ from .series import (
 )
 from .sieve import SieveConfig, ar_sieve_bootstrap, stabilize_ar
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
 __all__ = [
     "ApproxCheckReport",

@@ -341,7 +341,8 @@ def run_plugin(
     """Plug-in alternative to the bootstrap: HAC covariance + Gaussian-max oracle.
 
     Estimates the long-run covariance of each family with the kernel
-    quadratic form and reads the simultaneous radius off Monte Carlo
+    quadratic form over the residual rows that :func:`run_bootstrap`
+    perturbs, built once, and reads the simultaneous radius off Monte Carlo
     quantiles of the maximum of the matching Gaussian vector.  Exposed next
     to :func:`run_bootstrap`; neither route is canonical.
     """
@@ -349,11 +350,12 @@ def run_plugin(
     if v.size <= config.d:
         raise ValueError(f"series of length {v.size} too short for maximum lag {config.d}")
     est = estimate_second_order(v, config.d, config.p, config.H, config.I)
+    rows = second_order_residual_matrix(v, est.sigma_hat, config.d)
     k_T = select_bandwidth(v, config.bandwidth)
     covs = {
-        TARGET_AUTOCOV: hac_autocov_cov(v, est, config.H, k_T),
-        TARGET_AUTOCORR: hac_autocorr_cov(v, est, config.I, k_T),
-        TARGET_ARCOEF: hac_arcoef_cov(v, est, config.p, k_T),
+        TARGET_AUTOCOV: hac_autocov_cov(rows, config.H, k_T),
+        TARGET_AUTOCORR: hac_autocorr_cov(rows, est.sigma_hat, config.I, k_T),
+        TARGET_ARCOEF: hac_arcoef_cov(rows, est.sigma_hat, config.p, k_T),
     }
     radii = {}
     for index, (target, cov) in enumerate(sorted(covs.items())):

@@ -34,6 +34,7 @@ import csv
 import io
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 import scipy.stats
@@ -49,7 +50,6 @@ from .rng import RngStream, derive_seed
 from .series import (
     ar_order_select_aic,
     autocov_vector,
-    estimate_second_order,
     normalize_lag_set,
     second_order_residual_matrix,
 )
@@ -117,14 +117,18 @@ def true_autocovariances(model: str, innovation, rho: float, max_lag: int) -> tu
 
 @dataclass(frozen=True)
 class Scenario:
+    """A model and innovation kind; ``rho`` is the ar1 coefficient, None for other models."""
+
     model: str
     innovation: InnovationKind
-    rho: float = 0.9
+    rho: Optional[float] = 0.9
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r} (valid: {', '.join(MODELS)})")
         object.__setattr__(self, "innovation", parse_innovation(self.innovation))
+        if self.model != "ar1":
+            object.__setattr__(self, "rho", None)
 
     @classmethod
     def parse(cls, text: str, rho: float = 0.9) -> "Scenario":
@@ -140,7 +144,7 @@ class Scenario:
 
 
 def all_scenarios(rho: float = 0.9) -> list[Scenario]:
-    """The full grid: five models crossed with three innovation kinds."""
+    """The full grid: five models crossed with three innovation kinds, ``rho`` for ar1."""
     return [
         Scenario(model=m, innovation=kind, rho=rho)
         for m in ("ar1", "ar2", "ar4", "ma3", "nlar2")
@@ -221,7 +225,7 @@ def variance_study(n: int, reps: int, stream: RngStream, rho: float = 0.7) -> Va
 class CoverageRow:
     model: str
     innovation: str
-    rho: float
+    rho: Optional[float]
     target: str
     method: str
     coverage: float
@@ -248,10 +252,10 @@ class CoverageReport:
     def row(self, model: str, innovation, target: str, method: str, rho=None) -> CoverageRow:
         """The one row for a scenario, target and method.
 
-        ``rho=None`` matches any AR(1) coefficient, but only when a single
-        row matches: a report holding the same scenario at several
-        coefficients raises ``KeyError`` naming them, so ``rho`` must then
-        be given.  A lookup that matches no row also raises ``KeyError``.
+        ``rho=None`` matches any coefficient (None outside ar1), but only
+        when a single row matches: a report holding the same scenario at
+        several coefficients raises ``KeyError`` naming them, so ``rho``
+        must then be given.  A lookup that matches no row also raises ``KeyError``.
         """
         innovation = parse_innovation(innovation).value
         key = (model, innovation, target, method)
@@ -332,6 +336,9 @@ def coverage_study(
     if p_max > d:
         raise ValueError(f"p_max must be <= d so the fitted order fits the lag range, got {p_max} > {d}")
     scenarios = [s if isinstance(s, Scenario) else Scenario.parse(str(s)) for s in scenarios]
+    repeated = sorted({f"{s.label} (rho={s.rho})" for s in scenarios if scenarios.count(s) > 1})
+    if repeated:
+        raise ValueError(f"scenarios listed more than once: {', '.join(repeated)}")
     H = normalize_lag_set(H, d, 0, "H")
     I = normalize_lag_set(I, d, 1, "I")
     level = 1.0 - alpha
@@ -476,9 +483,8 @@ def gaussian_approx_check(
     truth_seed = derive_seed(stream.seed, (stream.stream_index, 0))
     long_series = gen_series(replace(spec, T=truth_length, seed=truth_seed, stream_index=0))
     k_T = select_bandwidth(long_series, BandwidthRule.auto())
-    d_est = max(d, 1)
-    est_long = estimate_second_order(long_series, d_est, 1, H_idx, (1,))
-    cov = hac_autocov_cov(long_series, est_long, H_idx, k_T)
+    residuals = second_order_residual_matrix(long_series, autocov_vector(long_series, d), d)
+    cov = hac_autocov_cov(residuals, H_idx, k_T)
     oracle = max_abs_normal_sample(cov, n_oracle, RngStream(derive_seed(stream.seed, (stream.stream_index, 1)), 0))
 
     rep_spec = replace(spec, T=T, stream_index=0)
@@ -530,6 +536,8 @@ def _rows_from_csv(text: str, row_type):
             kind = fields[name].type
             if kind == "float":
                 kwargs[name] = float(raw)
+            elif kind == "Optional[float]":
+                kwargs[name] = float(raw) if raw else None
             elif kind == "int":
                 kwargs[name] = int(raw)
             elif kind == "bool":

@@ -138,7 +138,7 @@ def test_criterion_4_conditional_covariance_identity():
         resid = second_order_residual_matrix(x, est.sigma_hat, 3)
         k_T = select_bandwidth(x, BandwidthRule.auto())
         factor = multiplier_factor(T, k_T)
-        hac = hac_autocov_cov(x, est, H, k_T)
+        hac = hac_autocov_cov(resid, H, k_T)
         seed = derive_seed(1405, (s,))
         acc = np.zeros((4, 4))
         chunk = 512
@@ -180,15 +180,16 @@ def test_criterion_5_brute_force_hac_equivalence():
         k_T = float(g.uniform(0.5, 6.0))
         d = 3
         est = estimate_second_order(x, d, 2)
+        R = second_order_residual_matrix(x, est.sigma_hat, d)
         H = (0, 1, 3)
         I = (1, 2)
         lin = linearization_matrix(est.sigma_hat[:3], 2)
         pairs = (
-            (hac_autocov_cov(x, est, H, k_T),
+            (hac_autocov_cov(R, H, k_T),
              brute_kernel_double_sum(brute_residual_rows(x, est.sigma_hat, H), gaussian_K, k_T)),
-            (hac_autocorr_cov(x, est, I, k_T),
+            (hac_autocorr_cov(R, est.sigma_hat, I, k_T),
              brute_kernel_double_sum(brute_autocorr_rows(x, est.sigma_hat, I), gaussian_K, k_T)),
-            (hac_arcoef_cov(x, est, 2, k_T),
+            (hac_arcoef_cov(R, est.sigma_hat, 2, k_T),
              brute_kernel_double_sum(brute_arcoef_rows(x, est.sigma_hat, lin, 2), gaussian_K, k_T)),
         )
         for got, want in pairs:

@@ -39,6 +39,15 @@ class TestScenario:
         assert len(grid) == 15
         assert len({s.label for s in grid}) == 15
 
+    def test_rho_only_for_ar1(self):
+        assert Scenario.parse("ar1:product", rho=0.7).rho == 0.7
+        assert Scenario.parse("nlar2:independent", rho=0.7).rho is None
+        assert Scenario(model="ma3", innovation="independent").rho is None
+        assert {s.model: s.rho for s in all_scenarios(rho=0.7)} == {
+            "ar1": 0.7, "ar2": None, "ar4": None, "ma3": None, "nlar2": None,
+        }
+        assert Scenario.parse("ar2:product", rho=0.7) == Scenario.parse("ar2:product", rho=0.9)
+
 
 class TestTruth:
     def test_linear_models_kind_independent(self):
@@ -132,6 +141,32 @@ class TestCoverageStudy:
         row = rep.row("ar1", "independent", TARGET_AUTOCOV, "wild")
         assert 0.0 <= row.coverage <= 1.0
         assert row.se == pytest.approx(np.sqrt(row.coverage * (1 - row.coverage) / 100))
+
+    def test_rho_absent_outside_ar1_round_trips(self):
+        rep = coverage_study(
+            [Scenario.parse("ma3:independent", rho=0.7)], T=200, reps=100, stream=RngStream(5), methods=("sieve",),
+        )
+        assert {r.rho for r in rep.rows} == {None}
+        text = rep.to_csv()
+        assert text.splitlines()[1].startswith("ma3,independent,,")
+        back = CoverageReport.from_csv(
+            text, T=rep.T, reps=rep.reps, alpha=rep.alpha, mode=rep.mode, B=rep.B, seed=rep.seed
+        )
+        assert back == rep
+        assert {r["rho"] for r in rep.to_json()["rows"]} == {None}
+        assert rep.row("ma3", "independent", TARGET_AUTOCOV, "sieve").rho is None
+
+    def test_repeated_scenario_rejected(self):
+        scenarios = [
+            Scenario.parse("ar2:product", rho=0.9),
+            Scenario.parse("ar2:product", rho=0.7),
+            Scenario.parse("ar1:product", rho=0.9),
+            Scenario.parse("ar1:product", rho=0.7),
+        ]
+        with pytest.raises(ValueError, match=r"more than once: ar2:product_of_normals \(rho=None\)$"):
+            coverage_study(scenarios, T=200, reps=100, stream=RngStream(0))
+        with pytest.raises(ValueError, match=r"ar1:independent \(rho=0\.9\)"):
+            coverage_study(["ar1:independent", "ar1:independent"], T=200, reps=100, stream=RngStream(0))
 
     def test_row_lookup_requires_rho_when_ambiguous(self):
         def _row(rho, coverage):

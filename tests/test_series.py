@@ -26,13 +26,24 @@ finite_series = st.lists(
 )
 
 _RO_CFG = BootstrapConfig(d=4, p=2, H=(0, 1, 2), I=(1, 2), B=50, seed=1)
+
+
+def _read_only_residuals(x, est):
+    """The residual matrix, write-protected, so an estimator writing to it raises."""
+    rows = second_order_residual_matrix(x, est.sigma_hat, 4)
+    rows.setflags(write=False)
+    return rows
+
+
 _RO_CALLS = {
     "estimate_second_order": lambda x, est, k_T: estimate_second_order(x, 4, 2),
     "select_bandwidth": lambda x, est, k_T: select_bandwidth(x, BandwidthRule.auto()),
     "second_order_residual_matrix": lambda x, est, k_T: second_order_residual_matrix(x, est.sigma_hat, 4),
-    "hac_autocov_cov": lambda x, est, k_T: hac_autocov_cov(x, est, (0, 1, 2), k_T),
-    "hac_autocorr_cov": lambda x, est, k_T: hac_autocorr_cov(x, est, (1, 2), k_T),
-    "hac_arcoef_cov": lambda x, est, k_T: hac_arcoef_cov(x, est, 2, k_T),
+    "hac_autocov_cov": lambda x, est, k_T: hac_autocov_cov(_read_only_residuals(x, est), (0, 1, 2), k_T),
+    "hac_autocorr_cov": lambda x, est, k_T: hac_autocorr_cov(
+        _read_only_residuals(x, est), est.sigma_hat, (1, 2), k_T
+    ),
+    "hac_arcoef_cov": lambda x, est, k_T: hac_arcoef_cov(_read_only_residuals(x, est), est.sigma_hat, 2, k_T),
     "run_bootstrap": lambda x, est, k_T: run_bootstrap(x, _RO_CFG),
     "run_plugin": lambda x, est, k_T: run_plugin(x, _RO_CFG, n_mc=1000),
     "ar_sieve_bootstrap": lambda x, est, k_T: ar_sieve_bootstrap(
