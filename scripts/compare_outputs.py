@@ -53,6 +53,7 @@ COMMANDS = (
     ("simulate", ["simulate", "--model", "ar2", "--innovation", "product", "--T", "1000", "--seed", "3",
                   "--out", "{out}/series.csv"]),
     ("analyze", ["analyze", "{input}", "--B", "500", "--seed", "1", "--out", "{out}"]),
+    ("analyze-fixed-kt", ["analyze", "{input}", "--kt", "12", "--B", "500", "--seed", "8", "--out", "{out}"]),
     ("analyze-threads", ["analyze", "{input}", "--B", "500", "--seed", "1", "--threads", "3", "--out", "{out}"]),
     ("test-null-zero", ["test", "{input}", "--null-zero", "--B", "500", "--seed", "2", "--out", "{out}"]),
     ("analyze-plugin", ["analyze", "{input}", "--band-method", "plugin", "--n-mc", "20000", "--seed", "3",

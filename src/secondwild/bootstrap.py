@@ -15,6 +15,7 @@ quantiles of the replicate max statistics:
     4. quantiles   of sqrt(T) max-deviations over B replicates
     5. bands       estimate +- radius / sqrt(T), or threshold tests.
 
+Every entry point reads a series once, through ``_series_inputs``.
 Replicate b draws its multipliers from stream (seed, b).  The replicates
 run serially on one thread; ``_wild_sigma_star`` draws them for both
 ``run_bootstrap`` and the coverage study, and ``_max_deviations`` turns
@@ -24,7 +25,7 @@ coverage study's observed statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -40,13 +41,14 @@ from .hac import (
     hac_autocorr_cov,
     hac_autocov_cov,
 )
-from .kernels import BandwidthRule, kernel_gram, select_bandwidth
+from .kernels import BandwidthRule, _bandwidth_from_correlogram, _correlogram_lags, kernel_gram
 from .quantiles import ecdf_pvalue, ecdf_quantile
 from .rng import RngStream
 from .series import (
     SecondOrderEstimates,
+    _estimates_from_autocov,
     _values,
-    estimate_second_order,
+    autocov_vector,
     normalize_lag_set,
     second_order_residual_matrix,
     yule_walker_fit,
@@ -135,7 +137,8 @@ class InferenceReport:
     """Point estimates, simultaneous radii and bands, and provenance.
 
     ``radii[target]`` is the 1 - alpha quantile C* of the replicate max
-    statistics; each band is estimate +- C* / sqrt(T).  ``tests`` is filled
+    statistics; each band in ``bands`` is estimate +- C* / sqrt(T), derived
+    from ``estimates`` and ``radii`` on every read.  ``tests`` is filled
     by :func:`hypothesis_tests`.  P-values, where present, are ECDF
     complements of the bootstrap draws (an additive convenience; the binary
     reject decision is the normative output).
@@ -143,13 +146,16 @@ class InferenceReport:
 
     estimates: SecondOrderEstimates
     radii: dict[str, float]
-    bands: dict[str, FamilyBand]
     k_T: Optional[float]
     alpha: float
     seed: int
     method: str
     provenance: dict
     tests: Optional[dict[str, TestResult]] = None
+
+    @property
+    def bands(self) -> dict[str, FamilyBand]:
+        return _make_bands(self.estimates, self.radii)
 
     def to_dict(self) -> dict:
         est = self.estimates
@@ -211,11 +217,8 @@ def run_bootstrap(x, config: BootstrapConfig) -> tuple[InferenceReport, Bootstra
     """
     v = _values(x)
     T = v.size
-    if T <= config.d:
-        raise ValueError(f"series of length {T} too short for maximum lag {config.d}")
-    est = estimate_second_order(v, config.d, config.p, config.H, config.I)
-    rows = second_order_residual_matrix(v, est.sigma_hat, config.d)
-    k_T = select_bandwidth(v, config.bandwidth)
+    sigma_hat, k_T, rows = _series_inputs(v, config.d, config.bandwidth)
+    est = _estimates_from_autocov(sigma_hat, T, config.p, config.H, config.I)
     sigma_star, degenerate = _wild_sigma_star(
         est.sigma_hat, rows, multiplier_factor(T, k_T), config.seed, config.B
     )
@@ -225,7 +228,6 @@ def run_bootstrap(x, config: BootstrapConfig) -> tuple[InferenceReport, Bootstra
     report = InferenceReport(
         estimates=est,
         radii=radii,
-        bands=_make_bands(est, radii),
         k_T=k_T,
         alpha=config.alpha,
         seed=config.seed,
@@ -233,6 +235,20 @@ def run_bootstrap(x, config: BootstrapConfig) -> tuple[InferenceReport, Bootstra
         provenance=_provenance(config, k_T, degenerate, est),
     )
     return report, draws
+
+
+def _series_inputs(v: np.ndarray, d: int, rule: BandwidthRule) -> tuple[np.ndarray, float, np.ndarray]:
+    """sigma_hat at lags 0..d, k_T and the residual matrix, from one autocovariance pass.
+
+    Each lag is its own dot product, so sigma_hat is bit-identical to
+    ``autocov_vector(v, d)`` however far the rule's correlogram reaches.
+    """
+    T = v.size
+    if T <= d:
+        raise ValueError(f"series of length {T} too short for maximum lag {d}")
+    sigma = autocov_vector(v, max(d, _correlogram_lags(T, rule)))
+    sigma_hat = sigma[: d + 1]
+    return sigma_hat, _bandwidth_from_correlogram(sigma, T, rule), second_order_residual_matrix(v, sigma_hat, d)
 
 
 def _gaussian_multipliers(factor: PsdFactor, seed: int, b: int) -> np.ndarray:
@@ -319,11 +335,7 @@ def _provenance(config: BootstrapConfig, k_T: float, degenerate: int, est: Secon
         "H": list(config.H),
         "I": list(config.I),
         "kernel": "gaussian",
-        "bandwidth": {
-            "variant": config.bandwidth.variant,
-            "k_T": config.bandwidth.k_T,
-            "c": config.bandwidth.c,
-        },
+        "bandwidth": asdict(config.bandwidth),
         "B": config.B,
         "alpha": config.alpha,
         "seed": config.seed,
@@ -347,11 +359,8 @@ def run_plugin(
     to :func:`run_bootstrap`; neither route is canonical.
     """
     v = _values(x)
-    if v.size <= config.d:
-        raise ValueError(f"series of length {v.size} too short for maximum lag {config.d}")
-    est = estimate_second_order(v, config.d, config.p, config.H, config.I)
-    rows = second_order_residual_matrix(v, est.sigma_hat, config.d)
-    k_T = select_bandwidth(v, config.bandwidth)
+    sigma_hat, k_T, rows = _series_inputs(v, config.d, config.bandwidth)
+    est = _estimates_from_autocov(sigma_hat, v.size, config.p, config.H, config.I)
     covs = {
         TARGET_AUTOCOV: hac_autocov_cov(rows, config.H, k_T),
         TARGET_AUTOCORR: hac_autocorr_cov(rows, est.sigma_hat, config.I, k_T),
@@ -366,7 +375,6 @@ def run_plugin(
     return InferenceReport(
         estimates=est,
         radii=radii,
-        bands=_make_bands(est, radii),
         k_T=k_T,
         alpha=config.alpha,
         seed=config.seed,

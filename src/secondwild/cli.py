@@ -48,7 +48,7 @@ from .harness import (
 )
 from .kernels import BandwidthRule
 from .rng import RngStream
-from .series import _values
+from .series import _values, ar_order_select_aic
 
 TABLE_DEFAULT_D = 7
 TABLE_DEFAULT_H = "0-3"
@@ -193,15 +193,13 @@ def _load_series(opts: dict) -> np.ndarray:
 
 
 def _analyze_report(opts: dict) -> tuple[InferenceReport, object]:
-    from .series import ar_order_select_aic
-
     series = _load_series(opts)
+    if series.size <= opts["d"]:
+        raise InputDataError(f"series of length {series.size} too short for maximum lag {opts['d']}")
     if opts["p"] is None:
         p_max = min(opts["d"], max(1, (series.size - 1) // 2))
         opts = dict(opts, p=max(1, ar_order_select_aic(series, p_max)))
     config = _bootstrap_config(opts)
-    if series.size <= config.d:
-        raise InputDataError(f"series of length {series.size} too short for maximum lag {config.d}")
     if opts["band_method"] == "plugin":
         report = run_plugin(series, config, n_mc=opts["n_mc"])
         draws = None

@@ -10,8 +10,8 @@ pooled band.
 Repetitions run serially, in blocks of up to 256 (in full mode, of at
 most 256 replicates per method).  Each repetition still draws from its own
 ``derive_seed`` streams, but the block is simulated in one pass
-(``gen_series_block``), each series' correlogram is computed once and
-feeds the bandwidth rule, the estimates and the sieve's AIC, and the
+(``gen_series_block``), each series is read once by ``_series_inputs``
+(sigma_hat, k_T, residuals; sigma_hat also feeds the sieve's AIC), and the
 replicates come from ``_wild_sigma_star`` and ``_sieve_sigma_star`` (which
 ``run_bootstrap`` and ``ar_sieve_bootstrap`` also call).  The block ends in
 three stacked ``_max_deviations`` calls, the bootstraps' own finish: the
@@ -40,22 +40,16 @@ import numpy as np
 import scipy.stats
 
 from ._nlar2_truth import NLAR2_TRUTH_AUTOCOV
-from .bootstrap import BootstrapConfig, _max_deviations, _wild_sigma_star, multiplier_factor
+from .bootstrap import TARGETS, BootstrapConfig, _max_deviations, _series_inputs, _wild_sigma_star, multiplier_factor
 from .dgp import MODELS, DgpSpec, InnovationKind, gen_series, gen_series_block, model_autocovariances, parse_innovation
 from .gaussian import max_abs_normal_sample
-from .hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
-from .kernels import BandwidthRule, _bandwidth_from_correlogram, _correlogram_lags, select_bandwidth
+from .hac import hac_autocov_cov
+from .kernels import BandwidthRule
 from .quantiles import ecdf_quantile
 from .rng import RngStream, derive_seed
-from .series import (
-    ar_order_select_aic,
-    autocov_vector,
-    normalize_lag_set,
-    second_order_residual_matrix,
-)
+from .series import ar_order_select_aic, autocov_vector, normalize_lag_set
 from .sieve import SieveConfig, _fit_sieve_autocov, _sieve_sigma_star, _sieve_world
 
-TARGETS = (TARGET_AUTOCOV, TARGET_AUTOCORR, TARGET_ARCOEF)
 METHODS = ("wild", "sieve")
 
 # Fixed internals of the plug-in truth for the nonlinear model.
@@ -345,8 +339,7 @@ def coverage_study(
     B_rep = 1 if mode == "warp_speed" else B
     if "sieve" in methods:  # validated once; the blocks take the values directly
         SieveConfig(p_max=p_max, B=B_rep, alpha=alpha, burn_in=burn_in)
-    bandwidth_c = BandwidthRule.auto().c
-    n_lags = max(d, _correlogram_lags(T))
+    bandwidth = BandwidthRule.auto()
     block_size = max(1, _BLOCK // B_rep)
     rows: list[CoverageRow] = []
     for s_idx, scen in enumerate(scenarios):
@@ -378,15 +371,13 @@ def coverage_study(
             seeds = [derive_seed(stream.seed, (stream.stream_index, s_idx, r, 0)) for r in block]
             sigma_hat, wild_sigma, model_sigma, sieve_sigma = [], [], [], []
             for r, v in zip(block, gen_series_block(spec, seeds)):
-                sigma = autocov_vector(v, n_lags)
-                k_T = _bandwidth_from_correlogram(sigma, T, bandwidth_c)
+                sigma, k_T, residuals = _series_inputs(v, d, bandwidth)
                 kts[r] = k_T
-                sigma_hat.append(sigma[: d + 1])
+                sigma_hat.append(sigma)
                 if "wild" in methods:
-                    residuals = second_order_residual_matrix(v, sigma_hat[-1], d)
                     seed = derive_seed(stream.seed, (stream.stream_index, s_idx, r, 1))
                     wild_sigma.append(
-                        _wild_sigma_star(sigma_hat[-1], residuals, multiplier_factor(T, k_T), seed, B_rep)[0]
+                        _wild_sigma_star(sigma, residuals, multiplier_factor(T, k_T), seed, B_rep)[0]
                     )
                 if "sieve" in methods:
                     world = _sieve_world(_fit_sieve_autocov(v, sigma, p_max), d)
@@ -470,9 +461,10 @@ def gaussian_approx_check(
 
     The oracle distribution is the maximum of centered joint normals whose
     covariance is one kernel quadratic-form evaluation on a single long
-    realization of the same process.  Reported is the two-sample KS
-    statistic between ``reps`` simulated roots at length ``T`` and
-    ``n_oracle`` oracle draws.
+    realization of the same process, read by ``_series_inputs`` as
+    ``run_plugin`` reads its input.  Reported is the two-sample KS statistic
+    between ``reps`` simulated roots at length ``T`` and ``n_oracle`` oracle
+    draws.
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
@@ -482,8 +474,7 @@ def gaussian_approx_check(
 
     truth_seed = derive_seed(stream.seed, (stream.stream_index, 0))
     long_series = gen_series(replace(spec, T=truth_length, seed=truth_seed, stream_index=0))
-    k_T = select_bandwidth(long_series, BandwidthRule.auto())
-    residuals = second_order_residual_matrix(long_series, autocov_vector(long_series, d), d)
+    _, k_T, residuals = _series_inputs(long_series, d, BandwidthRule.auto())
     cov = hac_autocov_cov(residuals, H_idx, k_T)
     oracle = max_abs_normal_sample(cov, n_oracle, RngStream(derive_seed(stream.seed, (stream.stream_index, 1)), 0))
 

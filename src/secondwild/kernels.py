@@ -4,6 +4,10 @@ The kernel is fixed to K(x) = exp(-x^2/2).  The bootstrap needs the Gram
 matrix {K((s - j)/k_T)} to be positive semi-definite at every bandwidth
 k_T, which holds exactly when K has a nonnegative Fourier transform; the
 Gaussian kernel does, and it is the only kernel the package offers.
+
+Only this module tells a fixed bandwidth from the automatic rule: callers
+read ``_correlogram_lags(T, rule)`` autocovariance lags (0 for a fixed rule)
+and pass them to ``_bandwidth_from_correlogram``.
 """
 
 from __future__ import annotations
@@ -92,14 +96,14 @@ def select_bandwidth(x, rule: BandwidthRule) -> float:
     c * sqrt(log10(T) / T), and returns k_T = max(1, 2q).  If no such q
     exists within 0..L the conservative cap max(1, 2L) is returned.
     """
-    if rule.variant == "fixed":
-        return float(rule.k_T)
     v = _values(x)
-    return _bandwidth_from_correlogram(autocov_vector(v, _correlogram_lags(v.size)), v.size, rule.c)
+    return _bandwidth_from_correlogram(autocov_vector(v, _correlogram_lags(v.size, rule)), v.size, rule)
 
 
-def _correlogram_lags(T: int) -> int:
-    """Highest lag the automatic rule reads: L + K_n, capped at T - 1."""
+def _correlogram_lags(T: int, rule: BandwidthRule) -> int:
+    """Highest lag the rule reads: 0 for a fixed rule, else L + K_n capped at T - 1."""
+    if rule.variant == "fixed":
+        return 0
     return min(math.isqrt(T) + _scan_width(T), T - 1)
 
 
@@ -108,16 +112,18 @@ def _scan_width(T: int) -> int:
     return max(5, math.ceil(math.sqrt(math.log10(T))))
 
 
-def _bandwidth_from_correlogram(sigma: np.ndarray, T: int, c: float) -> float:
-    """The automatic rule on autocovariances at lags 0..>=_correlogram_lags(T)."""
+def _bandwidth_from_correlogram(sigma: np.ndarray, T: int, rule: BandwidthRule) -> float:
+    """The rule on autocovariances at lags 0..>=_correlogram_lags(T, rule)."""
+    if rule.variant == "fixed":
+        return float(rule.k_T)
     if T < 20:
         raise ValueError(
             f"automatic bandwidth selection needs T >= 20 (got {T}); use BandwidthRule.fixed instead"
         )
     L = math.isqrt(T)
     K_n = _scan_width(T)
-    threshold = c * math.sqrt(math.log10(T) / T)
-    sigma = sigma[: _correlogram_lags(T) + 1]
+    threshold = rule.c * math.sqrt(math.log10(T) / T)
+    sigma = sigma[: _correlogram_lags(T, rule) + 1]
     if sigma[0] == 0.0:
         return 1.0
     rho = np.abs(sigma / sigma[0])

@@ -250,8 +250,6 @@ def estimate_second_order(x, d: int, p: int, H=None, I=None) -> SecondOrderEstim
     """
     v = _values(x)
     T = v.size
-    if not 1 <= p <= d:
-        raise ValueError(f"need 1 <= p <= d, got p={p}, d={d}")
     if d >= T:
         raise ValueError(f"maximum lag {d} out of range for series of length {T}")
     H = normalize_lag_set(H if H is not None else range(d + 1), d, 0, "H")
@@ -262,8 +260,12 @@ def estimate_second_order(x, d: int, p: int, H=None, I=None) -> SecondOrderEstim
 def _estimates_from_autocov(sigma: np.ndarray, T: int, p: int, H, I) -> SecondOrderEstimates:
     """Estimates from the autocovariances at lags 0..d of a series of length T.
 
-    ``p``, ``H`` and ``I`` must already be validated against d = sigma.size - 1.
+    Requires 1 <= p <= d = sigma.size - 1; ``H`` and ``I`` must already be
+    validated against d.
     """
+    d = sigma.size - 1
+    if not 1 <= p <= d:
+        raise ValueError(f"need 1 <= p <= d, got p={p}, d={d}")
     if sigma[0] == 0.0:
         raise DegenerateVarianceError("sample variance is zero, estimates undefined")
     # pinv's cutoff: eigenvalues at or below PINV_RCOND times the largest are dropped.
@@ -273,7 +275,7 @@ def _estimates_from_autocov(sigma: np.ndarray, T: int, p: int, H, I) -> SecondOr
         rho_hat=sigma / sigma[0],
         a_hat=yule_walker_fit(sigma, p),
         T=T,
-        d=sigma.size - 1,
+        d=d,
         p=p,
         H=H,
         I=I,

@@ -21,22 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .bootstrap import (
-    BootstrapDraws,
-    InferenceReport,
-    _make_bands,
-    _max_deviations,
-)
+from .bootstrap import BootstrapDraws, InferenceReport, _max_deviations
 from .dgp import ar_autocovariances
 from .errors import NumericalError
 from .quantiles import ecdf_quantile
 from .rng import RngStream
 from .series import (
     _check_order_range,
+    _estimates_from_autocov,
     _order_select_aic,
     _values,
     autocov_vector,
-    estimate_second_order,
     normalize_lag_set,
     yule_walker_fit,
 )
@@ -90,14 +85,12 @@ def stabilize_ar(coefficients: np.ndarray) -> tuple[np.ndarray, int]:
     )
 
 
-def _fit_sieve(v: np.ndarray, p_max: int):
-    """AIC order, stabilized coefficients, centered residual pool."""
-    _check_order_range(p_max, v.size)
-    return _fit_sieve_autocov(v, autocov_vector(v, p_max), p_max)
-
-
 def _fit_sieve_autocov(v: np.ndarray, sigma: np.ndarray, p_max: int):
-    """``_fit_sieve`` given the autocovariances of ``v`` at lags 0..>=p_max."""
+    """AIC order, stabilized coefficients, centered residual pool.
+
+    ``sigma`` holds the autocovariances of ``v`` at lags 0..>=p_max; the
+    caller has checked p_max with ``_check_order_range``.
+    """
     p_fit = _order_select_aic(sigma, v.size, p_max)
     if p_fit == 0:
         coef = np.empty(0)
@@ -172,11 +165,10 @@ def ar_sieve_bootstrap(
         raise ValueError(f"series of length {T} too short for maximum lag {d}")
     H = normalize_lag_set(H, d, 0, "H")
     I = normalize_lag_set(I, d, 1, "I")
-    est = estimate_second_order(v, d, p, H, I)
-    world = _sieve_world(_fit_sieve(v, cfg.p_max), d)
-    if T <= max(d, world.p_fit):
-        raise ValueError(f"series of length {T} too short for fitted order {world.p_fit}")
-
+    _check_order_range(cfg.p_max, T)
+    sigma = autocov_vector(v, max(d, cfg.p_max))
+    est = _estimates_from_autocov(sigma[: d + 1], T, p, H, I)
+    world = _sieve_world(_fit_sieve_autocov(v, sigma, cfg.p_max), d)
     sigma_star = _sieve_sigma_star(world, cfg.seed, cfg.B, cfg.burn_in, T, d)
     draws = _max_deviations(sigma_star, world.sigma, H, I, p, T)
     level = 1.0 - cfg.alpha
@@ -184,7 +176,6 @@ def ar_sieve_bootstrap(
     report = InferenceReport(
         estimates=est,
         radii=radii,
-        bands=_make_bands(est, radii),
         k_T=None,
         alpha=cfg.alpha,
         seed=cfg.seed,

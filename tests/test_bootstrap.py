@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +16,20 @@ from secondwild.bootstrap import (
     run_bootstrap,
     run_plugin,
 )
+from secondwild.dgp import DgpSpec
 from secondwild.errors import DegenerateVarianceError, NumericalError
 from secondwild.hac import TARGET_ARCOEF, TARGET_AUTOCORR, TARGET_AUTOCOV, hac_autocov_cov
+from secondwild.harness import gaussian_approx_check
 from secondwild.kernels import BandwidthRule, select_bandwidth
 from secondwild.rng import RngStream, derive_seed
 from secondwild.series import (
     SecondOrderEstimates,
+    autocov_vector,
     estimate_second_order,
     second_order_residual_matrix,
     yule_walker_fit,
 )
+from secondwild.sieve import SieveConfig, ar_sieve_bootstrap
 
 CFG = dict(d=7, p=1, H=(0, 1, 2, 3), I=(1, 2, 3, 4))
 
@@ -305,3 +311,66 @@ class TestPlugin:
         plug = run_plugin(x, cfg, n_mc=100_000)
         for t in (TARGET_AUTOCOV, TARGET_AUTOCORR, TARGET_ARCOEF):
             assert plug.radii[t] == pytest.approx(boot.radii[t], rel=0.25)
+
+
+class TestOnePassPerSeries:
+    """Every entry point reads its series with one autocovariance pass."""
+
+    @pytest.fixture()
+    def autocov_calls(self, monkeypatch):
+        original = autocov_vector
+        calls = []
+
+        def counting(x, d):
+            calls.append((x, d))
+            return original(x, d)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("secondwild") and vars(module).get("autocov_vector") is original:
+                monkeypatch.setattr(module, "autocov_vector", counting)
+        return calls
+
+    @pytest.mark.parametrize("rule", [BandwidthRule.auto(), BandwidthRule.fixed(6.0)], ids=["auto", "fixed"])
+    @pytest.mark.parametrize("entry", ["bootstrap", "plugin"])
+    def test_wild_and_plugin_read_input_once(self, autocov_calls, entry, rule):
+        x = _series(91, T=300)
+        cfg = BootstrapConfig(B=5, seed=2, bandwidth=rule, **CFG)
+        if entry == "bootstrap":
+            run_bootstrap(x, cfg)
+        else:
+            run_plugin(x, cfg, n_mc=1000)
+        lags = [d for v, d in autocov_calls if v is x]
+        assert len(lags) == 1
+        if rule.variant == "fixed":
+            assert lags == [CFG["d"]]
+
+    def test_sieve_reads_input_once(self, autocov_calls):
+        x = _series(92, T=300)
+        ar_sieve_bootstrap(x, cfg=SieveConfig(B=3, seed=1, p_max=8), **CFG)
+        assert [d for v, d in autocov_calls if v is x] == [8]
+
+    def test_approx_check_reads_truth_series_once(self, autocov_calls):
+        spec = DgpSpec("ar1", "independent", T=200, rho=0.5)
+        gaussian_approx_check(spec, T=200, reps=1000, stream=RngStream(93), n_oracle=2000, truth_length=5000)
+        assert len([d for v, d in autocov_calls if v.size == 5000]) == 1
+
+    @pytest.mark.parametrize(
+        "T, d, rule",
+        [(1000, 7, BandwidthRule.auto()), (30, 12, BandwidthRule.auto()), (300, 7, BandwidthRule.fixed(9.5))],
+        ids=["auto-T1000", "auto-d-above-correlogram", "fixed"],
+    )
+    @pytest.mark.parametrize("entry", ["bootstrap", "plugin"])
+    def test_estimates_and_bandwidth_match_standalone(self, T, d, rule, entry):
+        x = _series(94, T=T)
+        cfg = BootstrapConfig(d=d, p=2, H=range(d + 1), I=range(1, d + 1), bandwidth=rule, B=5, seed=4)
+        if entry == "bootstrap":
+            report, _ = run_bootstrap(x, cfg)
+        else:
+            report = run_plugin(x, cfg, n_mc=1000)
+        assert report.estimates.sigma_hat.tobytes() == autocov_vector(x, d).tobytes()
+        assert report.k_T == select_bandwidth(x, rule)
+
+    def test_sieve_estimates_match_standalone(self):
+        x = _series(95, T=300)
+        report, _ = ar_sieve_bootstrap(x, cfg=SieveConfig(B=3, seed=1, p_max=8), **CFG)
+        assert report.estimates.sigma_hat.tobytes() == autocov_vector(x, CFG["d"]).tobytes()

@@ -93,6 +93,14 @@ class TestParsing:
         assert _run(["analyze", f]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_two_values_named_too_short_before_order_selection(self, tmp_path, capsys):
+        f = tmp_path / "two.csv"
+        f.write_text("1.0\n2.0\n")
+        assert _run(["analyze", f, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "series of length 2 too short for maximum lag 7" in err
+        assert "p_max" not in err
+
 
 class TestSimulate:
     def test_deterministic_bytes(self, tmp_path):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import secondwild.sieve as sieve_mod
 from secondwild.dgp import DgpSpec, ar_autocovariances, gen_series
 from secondwild.errors import NumericalError
+from secondwild.series import autocov_vector
 from secondwild.sieve import SieveConfig, ar_sieve_bootstrap, stabilize_ar
 
 ARGS = dict(d=7, p=1, H=(0, 1, 2, 3), I=(1, 2, 3, 4))
@@ -58,7 +61,7 @@ class TestSieveBootstrap:
         # bootstrap-world truth, so every max statistic is exactly zero
         x = gen_series(DgpSpec("ar1", "independent", T=200, rho=0.5, seed=35))
         monkeypatch.setattr(
-            sieve_mod, "_fit_sieve", lambda v, p_max: (1, np.array([0.5]), 0, np.zeros(100))
+            sieve_mod, "_fit_sieve_autocov", lambda v, sigma, p_max: (1, np.array([0.5]), 0, np.zeros(100))
         )
         report, draws = ar_sieve_bootstrap(x, cfg=SieveConfig(B=50, seed=3), **ARGS)
         assert np.all(draws.delta_sigma == 0.0)
@@ -86,6 +89,22 @@ class TestSieveBootstrap:
         assert model_sigma == pytest.approx(sigma[: p_fit + 1] * ratio, rel=1e-8)
         assert ratio == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "T, p, p_max, message",
+        [
+            (200, 0, 4, "need 1 <= p <= d, got p=0, d=7"),
+            (200, 8, 4, "need 1 <= p <= d, got p=8, d=7"),
+            (20, 1, 10, "p_max 10 out of range for series of length 20 (need 0 <= p_max < T/2)"),
+            (7, 1, 2, "series of length 7 too short for maximum lag 7"),
+        ],
+        ids=["p-zero", "p-above-d", "p_max-too-large", "series-too-short"],
+    )
+    def test_argument_errors(self, T, p, p_max, message):
+        x = gen_series(DgpSpec("ar1", "independent", T=max(T, 10), rho=0.5, seed=43))[:T]
+        args = dict(ARGS, p=p)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ar_sieve_bootstrap(x, cfg=SieveConfig(B=2, p_max=p_max), **args)
+
     def test_report_bands_center_on_sample_estimates(self):
         x = gen_series(DgpSpec("ma3", "independent", T=500, seed=39))
         report, _ = ar_sieve_bootstrap(x, cfg=SieveConfig(B=100, seed=2), **ARGS)
@@ -98,7 +117,7 @@ class TestSieveBootstrap:
 def test_whiteness_of_residual_pool_after_fit():
     # on an AR(1) the fitted residuals should be close to white
     x = gen_series(DgpSpec("ar1", "independent", T=2000, rho=0.8, seed=41))
-    p_fit, coef, _, pool = sieve_mod._fit_sieve(x, 6)
+    p_fit, coef, _, pool = sieve_mod._fit_sieve_autocov(x, autocov_vector(x, 6), 6)
     assert p_fit >= 1
     assert abs(pool.mean()) < 1e-12  # centered
     lag1 = np.mean(pool[1:] * pool[:-1]) / np.mean(pool * pool)
